@@ -99,8 +99,9 @@ def adam_chunk(
 ) -> None:
     """Fused AdamW over ``[lo, hi)`` of the (p, m, v, g) planes.
 
-    Operation order matches the per-tile body of
-    :meth:`GraceAdam._step_flat_serial` /:meth:`CPUAdam.step` exactly::
+    Operation order matches the plain-numpy update
+    (:func:`repro.optim.adam.adam_update`, and its oracle twin
+    :func:`repro.reference.cpu_adam_serial`) exactly::
 
         m  = beta1*m + (1-beta1)*g
         v  = beta2*v + (1-beta2)*g^2

@@ -4,10 +4,13 @@ Each op covers one of the substrate's hot flat passes (fused Adam step,
 clip/accumulate scale, mixed-precision cast, snapshot memcpy), planning
 the plane into worker-aligned chunks and driving the corresponding
 :mod:`repro.exec.kernels` kernel through a
-:class:`~repro.exec.pool.KernelPool`.  ``pool=None`` uses the shared
-process-default pool (`repro.exec.pool.get_pool`), so call sites need no
-plumbing to pick up ``repro bench --workers`` /
-``REPRO_EXEC_WORKERS`` configuration.
+:class:`~repro.exec.pool.KernelPool`.  ``pool=None`` always means the
+shared multi-worker process-default pool (`repro.exec.pool.get_pool`) —
+never "the calling thread"; pass a ``KernelPool(1)`` for that — so call
+sites need no plumbing to pick up ``repro bench --workers`` /
+``REPRO_EXEC_WORKERS`` configuration.  The same holds for every ``pool``
+argument in the package (``numeric.flash``, the optimizers,
+``ZeroShardedAdam``).
 
 Small planes run inline: below ``min_parallel`` elements the dispatch
 round-trip (~tens of µs) exceeds the kernel itself, so the op executes
@@ -217,23 +220,6 @@ def parallel_qmatmul(
     return out
 
 
-def qmatmul_reference(
-    x: np.ndarray,
-    qt,
-    bias: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Dense-dequant reference: reconstruct the full fp32 weight, then
-    one plain matmul.  Same quantized operand, unfused data path — the
-    tolerance twin the property tests (and the bench A/B) compare
-    :func:`parallel_qmatmul` against.
-    """
-    w = qt.dequantize()
-    y = np.matmul(np.asarray(x, dtype=np.float32), w)
-    if bias is not None:
-        y = y + bias
-    return np.asarray(y, dtype=np.float32)
-
-
 def parallel_reduce(
     dst: np.ndarray,
     dst_base: int,
@@ -245,12 +231,14 @@ def parallel_reduce(
 ) -> None:
     """Fixed-order reduce of ``sources[lo:hi]`` into staging ``dst``.
 
-    Used by the pipelined ZeRO step; combine order is fixed by rank (a
-    left fold), so any chunking is bitwise identical to the serial
-    reduce-scatter.  Unlike the other ops this one is usually *submitted*
-    (see ``KernelPool.submit``) rather than run to completion, so the
-    reduce of bucket ``k`` can overlap the shard Adam of bucket ``k-1``;
-    this entry point is the synchronous form.
+    The synchronous, worker-chunked form of
+    :func:`~repro.exec.kernels.reduce_chunk`: it returns once the whole
+    range is reduced.  Combine order is fixed by rank (a left fold), so
+    any chunking is bitwise identical to the serial reduce-scatter —
+    which is what the determinism suite checks through this op and what
+    ``repro tune`` races ``reduce.min_parallel`` on.  The pipelined ZeRO
+    step does not call it: it submits ``reduce_chunk`` per bucket to the
+    pool itself so the reduce overlaps the previous bucket's Adam.
     """
     n = hi - lo
     if n <= 0:

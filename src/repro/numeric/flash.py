@@ -252,7 +252,10 @@ def streaming_attention_forward(
         block_q, block_k: tile sides (need not divide the sequence);
             ``None`` resolves through :func:`resolve_blocks`.
         pool: kernel pool for the ``(batch, head, q_tile)`` fan-out;
-            ``None`` uses the process default.
+            ``None`` means the shared multi-worker process-default pool
+            (as everywhere in :mod:`repro.exec`), not the calling
+            thread — pass ``KernelPool(1)`` to pin the tiles, and their
+            per-thread scratch, to one thread.
         out, lse: optional pre-allocated outputs (the workspace path).
 
     Returns:

@@ -66,6 +66,34 @@ def _bias_corrections(config: AdamConfig, step: int) -> tuple[float, float]:
     return 1.0 - config.beta1**step, 1.0 - config.beta2**step
 
 
+def adam_update(
+    param: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    grad: np.ndarray,
+    config: AdamConfig,
+    step: int,
+) -> None:
+    """The in-place AdamW arithmetic of update number ``step``.
+
+    Purely elementwise over four same-shape fp32 arrays, so applying it
+    to any tiling of a plane gives the same bits as one whole-plane call
+    (:class:`~repro.optim.implementations.GraceAdam` walks cache tiles
+    with it).
+    """
+    c = config
+    m *= c.beta1
+    m += (1 - c.beta1) * grad
+    v *= c.beta2
+    v += (1 - c.beta2) * np.square(grad)
+    bc1, bc2 = _bias_corrections(c, step)
+    denom = np.sqrt(v / bc2)
+    denom += c.eps
+    if c.weight_decay:
+        param *= 1.0 - c.lr * c.weight_decay
+    param -= c.lr * ((m / bc1) / denom)
+
+
 def adam_apply(
     param: np.ndarray,
     grad: np.ndarray,
@@ -80,18 +108,7 @@ def adam_apply(
     if param.dtype != np.float32 or grad.dtype != np.float32:
         raise TypeError("adam_apply operates on fp32 master weights/gradients")
     state.step += 1
-    t = state.step
-    c = config
-    state.m *= c.beta1
-    state.m += (1 - c.beta1) * grad
-    state.v *= c.beta2
-    state.v += (1 - c.beta2) * np.square(grad)
-    bc1, bc2 = _bias_corrections(c, t)
-    denom = np.sqrt(state.v / bc2) + c.eps
-    update = (state.m / bc1) / denom
-    if c.weight_decay:
-        param *= 1.0 - c.lr * c.weight_decay
-    param -= c.lr * update
+    adam_update(param, state.m, state.v, grad, config, state.step)
 
 
 def adam_invert(

@@ -13,7 +13,8 @@ differ in *how* they traverse memory, mirroring the real designs:
   tile, and OpenMP-style tile partitioning across worker threads — executed
   for real on arena-backed steps via the chunked kernel executor
   (:mod:`repro.exec`), whose worker-aligned chunks and fused scratch
-  kernels stay bitwise identical to the serial walk.
+  kernels stay bitwise identical to the serial walk
+  (:func:`repro.reference.grace_adam_serial`).
 
 Latency on actual Grace hardware is priced by
 :func:`repro.optim.kernels.adam_latency_seconds`, calibrated to Table 3.
@@ -28,7 +29,12 @@ import numpy as np
 from repro import tune
 from repro.exec.ops import parallel_adam_flat
 from repro.exec.pool import KernelPool
-from repro.optim.adam import AdamConfig, AdamParamState, adam_invert
+from repro.optim.adam import (
+    AdamConfig,
+    AdamParamState,
+    adam_invert,
+    adam_update,
+)
 from repro.tensors.arena import FlatArena
 from repro.tensors.errors import TensorValidationError, ensure_dense_fp32
 
@@ -179,21 +185,19 @@ class CPUAdam(AdamOptimizer):
     """DeepSpeed-style fused flat-buffer Adam (the "CPU-Adam" row).
 
     Parameters live in a :class:`FlatArena` (adopted at construction if
-    the caller's dict is not already arena-backed); each step is a
-    handful of fused in-place passes over the flat buffer.  Because the
-    per-tensor params and state are *views* of the same memory, there is
-    no scatter-back copy after the update and no re-sync after an
+    the caller's dict is not already arena-backed); each step is one
+    fused pass over the flat buffer on the chunked executor, bitwise
+    identical to the whole-plane serial pass it descends from
+    (:func:`repro.reference.cpu_adam_serial`).  Because the per-tensor
+    params and state are *views* of the same memory, there is no
+    scatter-back copy after the update and no re-sync after an
     inversion — coherence is structural.
 
     Args:
         params: name -> fp32 master weights.
         config: hyperparameters.
         pool: kernel pool for the chunked step (``None`` uses the
-            process default).
-        chunked: route the flat step through the chunked executor.
-            ``False`` keeps the whole-plane serial ancestor — the
-            measured baseline for ``repro bench``'s ``parallel_step``
-            section.  Both paths are bitwise identical.
+            process-default pool).
     """
 
     kernel_name = "cpu_adam"
@@ -203,7 +207,6 @@ class CPUAdam(AdamOptimizer):
         params: Params,
         config: AdamConfig | None = None,
         pool: KernelPool | None = None,
-        chunked: bool = True,
     ):
         super().__init__(params, config)
         if self.arena is None:
@@ -214,7 +217,6 @@ class CPUAdam(AdamOptimizer):
         self._flat_v = self.arena_v.flat[:unpadded]
         self._flat_step = 0
         self._pool = pool
-        self.chunked = chunked
 
     def _flatten_grads(self, grads: Grads) -> np.ndarray:
         self._check_grads(grads)
@@ -237,35 +239,14 @@ class CPUAdam(AdamOptimizer):
     def step(self, grads: Grads) -> None:
         g = self._flatten_grads(grads)
         self._flat_step += 1
-        if self.chunked:
-            parallel_adam_flat(
-                self._flat_p, self._flat_m, self._flat_v, g,
-                self.config, self._flat_step, pool=self._pool,
-            )
-        else:
-            self._step_flat_serial(g)
+        parallel_adam_flat(
+            self._flat_p, self._flat_m, self._flat_v, g,
+            self.config, self._flat_step, pool=self._pool,
+        )
         for st in self.state.values():
             st.step = self._flat_step
         # The scatter-back the dict design needed: p, m, v written once each.
         self.arena.note_alias(3 * self._flat_p.nbytes)
-
-    def _step_flat_serial(self, g: np.ndarray) -> None:
-        """The serial ancestor: whole-plane fused passes with out-of-place
-        temporaries (one full-size temporary per expression) — kept
-        verbatim as the executor's ``parallel_step`` bench baseline; the
-        temporaries are what the chunked scratch kernels eliminate."""
-        c = self.config
-        self._flat_m *= c.beta1
-        self._flat_m += (1 - c.beta1) * g
-        self._flat_v *= c.beta2
-        self._flat_v += (1 - c.beta2) * np.square(g)
-        bc1 = 1 - c.beta1**self._flat_step if c.bias_correction else 1.0
-        bc2 = 1 - c.beta2**self._flat_step if c.bias_correction else 1.0
-        denom = np.sqrt(self._flat_v / bc2)
-        denom += c.eps
-        if c.weight_decay:
-            self._flat_p *= 1.0 - c.lr * c.weight_decay
-        self._flat_p -= c.lr * ((self._flat_m / bc1) / denom)
 
     def invert_step(self, grads: Grads) -> None:
         super().invert_step(grads)
@@ -298,11 +279,6 @@ class GraceAdam(AdamOptimizer):
             executor's real worker threads below).
         pool: kernel pool the fused flat step executes on (``None`` uses
             the process-default pool).
-        chunked: route the flat step through the chunked executor
-            (:func:`repro.exec.ops.parallel_adam_flat`).  ``False`` keeps
-            the serial ancestor walk — the measured baseline for
-            ``repro bench``'s ``parallel_step`` section.  Both paths are
-            bitwise identical (hypothesis-tested).
     """
 
     kernel_name = "grace_adam"
@@ -315,7 +291,6 @@ class GraceAdam(AdamOptimizer):
         vector_length: int = 16,
         n_threads: int = 72,
         pool: KernelPool | None = None,
-        chunked: bool = True,
     ):
         super().__init__(params, config)
         if tile_size is None:
@@ -325,7 +300,6 @@ class GraceAdam(AdamOptimizer):
         self.vector_length = vector_length
         self.tile_size = max(vector_length, tile_size - tile_size % vector_length)
         self.n_threads = n_threads
-        self.chunked = chunked
         self._pool = pool
 
     def _tiles(self, n: int) -> Iterable[Tuple[int, int]]:
@@ -333,51 +307,20 @@ class GraceAdam(AdamOptimizer):
             yield lo, min(n, lo + self.tile_size)
 
     def _step_flat(self, flat_g: np.ndarray, step: int) -> None:
-        """One fused pass over the whole arena (p, m, v planes).
+        """One fused pass over the whole arena (p, m, v planes) on the
+        chunked executor.
 
         Bitwise-identical to the per-tensor loop: the update is purely
         elementwise, so tile boundaries (per-tensor or arena-wide) cannot
-        change any result bit.  ``chunked`` picks between the executor
-        (worker-parallel, scratch-fused) and the serial ancestor walk.
+        change any result bit.
         """
-        if self.chunked:
-            n = self.arena.layout.unpadded
-            parallel_adam_flat(
-                self.arena.flat[:n], self.arena_m.flat[:n],
-                self.arena_v.flat[:n], flat_g,
-                self.config, step, pool=self._pool,
-                align=self.vector_length,
-            )
-            for st in self.state.values():
-                st.step = step
-            return
-        self._step_flat_serial(flat_g, step)
-
-    def _step_flat_serial(self, flat_g: np.ndarray, step: int) -> None:
-        """The serial ancestor: per-cache-tile walk with out-of-place
-        temporaries — kept verbatim as the executor's bitwise reference
-        and the ``parallel_step`` bench baseline."""
-        c = self.config
-        bc1 = 1 - c.beta1**step if c.bias_correction else 1.0
-        bc2 = 1 - c.beta2**step if c.bias_correction else 1.0
         n = self.arena.layout.unpadded
-        flat_p = self.arena.flat[:n]
-        flat_m = self.arena_m.flat[:n]
-        flat_v = self.arena_v.flat[:n]
-        for lo, hi in self._tiles(n):
-            g = flat_g[lo:hi]
-            m = flat_m[lo:hi]
-            v = flat_v[lo:hi]
-            p = flat_p[lo:hi]
-            m *= c.beta1
-            m += (1 - c.beta1) * g
-            v *= c.beta2
-            v += (1 - c.beta2) * np.square(g)
-            denom = np.sqrt(v / bc2)
-            denom += c.eps
-            if c.weight_decay:
-                p *= 1.0 - c.lr * c.weight_decay
-            p -= c.lr * ((m / bc1) / denom)
+        parallel_adam_flat(
+            self.arena.flat[:n], self.arena_m.flat[:n],
+            self.arena_v.flat[:n], flat_g,
+            self.config, step, pool=self._pool,
+            align=self.vector_length,
+        )
         for st in self.state.values():
             st.step = step
 
@@ -395,30 +338,19 @@ class GraceAdam(AdamOptimizer):
                 self._step_flat(flat_g[:self.arena.layout.unpadded],
                                 step + 1)
                 return
+        # Subset (or non-arena) step — what STV's bucket-wise speculative
+        # stepping takes: walk each tensor in cache tiles, the numpy
+        # analogue of the svld1/svmla/svsqrt pipeline.
         for name in grads:
-            param = self.params[name]
             st = self.state[name]
             st.step += 1
-            bc1 = 1 - c.beta1**st.step if c.bias_correction else 1.0
-            bc2 = 1 - c.beta2**st.step if c.bias_correction else 1.0
-            flat_p = param.reshape(-1)
+            flat_p = self.params[name].reshape(-1)
             flat_g = np.asarray(grads[name], dtype=np.float32).reshape(-1)
             flat_m = st.m.reshape(-1)
             flat_v = st.v.reshape(-1)
             for lo, hi in self._tiles(flat_p.size):
-                g = flat_g[lo:hi]
-                m = flat_m[lo:hi]
-                v = flat_v[lo:hi]
-                p = flat_p[lo:hi]
-                m *= c.beta1
-                m += (1 - c.beta1) * g          # svmla_f32_m
-                v *= c.beta2
-                v += (1 - c.beta2) * np.square(g)
-                denom = np.sqrt(v / bc2)        # svsqrt_f32_m
-                denom += c.eps
-                if c.weight_decay:
-                    p *= 1.0 - c.lr * c.weight_decay
-                p -= c.lr * ((m / bc1) / denom)
+                adam_update(flat_p[lo:hi], flat_m[lo:hi], flat_v[lo:hi],
+                            flat_g[lo:hi], c, st.step)
 
 
 _IMPLEMENTATIONS = {

@@ -22,7 +22,7 @@ from repro.parallel.tensor import (
     TensorParallelMLP,
     TensorParallelTransformer,
 )
-from repro.parallel.zero import ZeroConfig, ZeroShardedAdam, partition_params
+from repro.parallel.zero import ZeroConfig, ZeroShardedAdam
 from repro.parallel.ulysses import UlyssesAttention, all_to_all_4d
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "TensorParallelTransformer",
     "ZeroConfig",
     "ZeroShardedAdam",
-    "partition_params",
     "UlyssesAttention",
     "all_to_all_4d",
 ]

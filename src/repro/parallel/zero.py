@@ -7,6 +7,12 @@ the stages differ in what *else* is sharded, which the performance
 simulator models).  A step is: reduce-scatter gradients -> owned-shard Adam
 update -> all-gather updated parameters.  The tests assert the result is
 bitwise identical to an unsharded Adam step.
+
+The optimizer has one state representation — the master arena, two
+moment planes, one step counter per rank.  Where the moment planes live
+is the only thing that varies between the resident and the
+disk-offloaded step, and it sits behind a two-implementation seam:
+:class:`_ResidentMoments` and :class:`_DiskMoments`.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from repro import tune
 from repro.exec import kernels
 from repro.exec.pool import KernelPool, get_pool
 from repro.optim.adam import AdamConfig
-from repro.optim.implementations import GraceAdam
 from repro.parallel.comm import SimProcessGroup
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.tensors.arena import FlatArena
@@ -29,6 +34,7 @@ from repro.tensors.pinned import PinnedBufferPool
 from repro.tensors.spill import SpillArena, SpillTicket, wait_all
 
 Params = Dict[str, np.ndarray]
+Span = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -50,63 +56,186 @@ class ZeroConfig:
             raise ValueError("ZeRO stage must be 1, 2, or 3")
 
 
-@dataclass(frozen=True)
-class ShardLayout:
-    """Mapping between the flat parameter space and named tensors."""
+def _fp32_buffers(
+    count: int,
+    elements: int,
+    pinned_pool: Optional[PinnedBufferPool],
+    tag: str,
+    allocs: list,
+) -> List[np.ndarray]:
+    """``count`` fp32 staging buffers, their bytes reserved from the
+    pinned pool when one is given (tagged ``{tag}{i}``, appended to
+    ``allocs``); a full pool degrades to unpinned staging, exactly the
+    pageable fallback §4.5 describes."""
+    buffers = []
+    for i in range(count):
+        buffers.append(np.empty(elements, dtype=np.float32))
+        if pinned_pool is not None:
+            alloc = pinned_pool.try_reserve(elements * 4, tag=f"{tag}{i}")
+            if alloc is not None:
+                allocs.append(alloc)
+    return buffers
 
-    names: Tuple[str, ...]
-    offsets: Tuple[int, ...]   # start offset per name
-    shapes: Tuple[Tuple[int, ...], ...]
-    total: int                 # padded flat length (divisible by world)
-    unpadded: int
+
+class _ResidentMoments:
+    """(m, v) as two in-memory fp32 planes: a span's moments are views,
+    so there is nothing to fetch, write back, or drain."""
+
+    #: Any span fits (views), so the unbucketed serial step may use it.
+    resident = True
+    span_attrs: Dict[str, str] = {}
+
+    def __init__(self, total: int):
+        self.m = np.zeros(total, dtype=np.float32)
+        self.v = np.zeros(total, dtype=np.float32)
+        self._spans: Sequence[Span] = ()
+
+    def begin(self, spans: Sequence[Span]) -> None:
+        self._spans = spans
+
+    def acquire(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        lo, hi = self._spans[k]
+        return self.m[lo:hi], self.v[lo:hi]
+
+    def commit(self, k: int) -> None:
+        pass
+
+    def finish(self) -> None:
+        pass
+
+    def snapshot(self) -> Dict[str, np.ndarray]:
+        return {"m": self.m.copy(), "v": self.v.copy()}
+
+    def load(self, m: np.ndarray, v: np.ndarray) -> None:
+        self.m[...] = m
+        self.v[...] = v
+
+    def release(self) -> None:
+        pass
 
 
-def partition_params(params: Params, world_size: int) -> ShardLayout:
-    """Build the flat layout used for sharding, padded to the world size."""
-    names = tuple(params)
-    offsets = []
-    shapes = []
-    cursor = 0
-    for name in names:
-        offsets.append(cursor)
-        shapes.append(params[name].shape)
-        cursor += params[name].size
-    padded = ((cursor + world_size - 1) // world_size) * world_size
-    return ShardLayout(
-        names=names,
-        offsets=tuple(offsets),
-        shapes=tuple(shapes),
-        total=padded,
-        unpadded=cursor,
-    )
+class _DiskMoments:
+    """(m, v) parked in a :class:`SpillArena`, streamed through a ring of
+    ``depth + 2`` bucket-sized staging slots per plane.
+
+    ``begin`` issues the reads of the first ``depth`` spans;
+    ``acquire(k)`` waits span ``k``'s read; ``commit(k)`` queues its
+    write-back and prefetches span ``k + depth``; ``finish`` drains the
+    writes.  Reads and writes run on the arena's independent streams, so
+    prefetches never queue behind the write backlog — but a slot's
+    write-back must be settled before a prefetch reuses the slot.  Every
+    wait is a ``spill_wait`` span that only appears when the disk
+    genuinely falls behind compute.
+    """
+
+    #: Only bucket-sized windows are ever in memory.
+    resident = False
+    span_attrs = {"offload": "disk"}
+
+    def __init__(
+        self,
+        spill: SpillArena,
+        depth: int,
+        slot_elements: int,
+        pinned_pool: Optional[PinnedBufferPool],
+    ):
+        self.spill = spill
+        self.depth = depth
+        self._slot_elements = slot_elements
+        self._pinned_pool = pinned_pool
+        self._slots: Dict[str, List[np.ndarray]] = {}
+        self._slot_allocs: list = []
+        self._spans: Sequence[Span] = ()
+        self._reads: Dict[int, Tuple[SpillTicket, SpillTicket]] = {}
+        self._slot_writes: List[List[SpillTicket]] = []
+
+    def begin(self, spans: Sequence[Span]) -> None:
+        n_slots = self.depth + 2
+        if not self._slots:
+            for plane in ("m", "v"):
+                self._slots[plane] = _fp32_buffers(
+                    n_slots, self._slot_elements, self._pinned_pool,
+                    f"spill_slot_{plane}", self._slot_allocs,
+                )
+        self._spans = spans
+        self._slot_writes = [[] for _ in range(n_slots)]
+        for j in range(self.depth):
+            self._prefetch(j)
+
+    def _prefetch(self, j: int) -> None:
+        if j >= len(self._spans):
+            return
+        lo, hi = self._spans[j]
+        s = j % len(self._slot_writes)
+        wait_all(self._slot_writes[s])
+        self._reads[j] = (
+            self.spill.read_async("m", lo, hi, self._slots["m"][s]),
+            self.spill.read_async("v", lo, hi, self._slots["v"][s]),
+        )
+
+    def acquire(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        for ticket in self._reads.pop(k):
+            ticket.wait()
+        lo, hi = self._spans[k]
+        s = k % len(self._slot_writes)
+        return self._slots["m"][s][: hi - lo], self._slots["v"][s][: hi - lo]
+
+    def commit(self, k: int) -> None:
+        lo, hi = self._spans[k]
+        s = k % len(self._slot_writes)
+        self._slot_writes[s] = [
+            self.spill.write_async("m", lo, hi, self._slots["m"][s]),
+            self.spill.write_async("v", lo, hi, self._slots["v"][s]),
+        ]
+        self._prefetch(k + self.depth)
+
+    def finish(self) -> None:
+        for writes in self._slot_writes:
+            wait_all(writes)
+
+    def snapshot(self) -> Dict[str, np.ndarray]:
+        out = {}
+        for plane in ("m", "v"):
+            n = self.spill.plane_elements(plane)
+            out[plane] = np.empty(n, dtype=np.float32)
+            self.spill.read(plane, 0, n, out[plane])
+        return out
+
+    def load(self, m: np.ndarray, v: np.ndarray) -> None:
+        self.spill.write("m", 0, m.size, np.ascontiguousarray(m))
+        self.spill.write("v", 0, v.size, np.ascontiguousarray(v))
+
+    def release(self) -> None:
+        if self._pinned_pool is not None:
+            for alloc in self._slot_allocs:
+                self._pinned_pool.release(alloc)
+        self._slot_allocs.clear()
+        self._slots.clear()
 
 
 class ZeroShardedAdam:
     """Adam with ZeRO-partitioned optimizer states over simulated ranks.
 
-    In the default zero-copy mode the master parameters live in a
-    :class:`FlatArena` (the caller's dict is adopted — its values become
-    views of one padded flat buffer) and rank ``r``'s optimizer operates
-    directly on ``arena.shard(r)``.  The ZeRO dataflow then has no
-    flatten or unflatten stage: reduce-scatter output is averaged in
-    place, the shard Adam writes straight into the arena, and the
-    all-gather is alias-detected into a no-op.
+    The master parameters live in a :class:`FlatArena` (the caller's dict
+    is adopted — its values become views of one padded flat buffer) and
+    rank ``r`` updates ``arena.shard(r)`` in place.  The ZeRO dataflow
+    therefore has no flatten or unflatten stage: reduce-scatter output is
+    averaged in place, the shard Adam writes straight into the arena, and
+    the all-gather is alias-detected into a no-op.
 
-    ``zero_copy=False`` keeps the historical dict-copy dataflow
-    (flatten -> reduce-scatter -> update private shards -> all-gather ->
-    unflatten); it exists as the measured baseline for ``repro bench``.
-
-    ``pipeline=True`` (zero-copy only) overlaps the step the way
-    SuperOffload's engine does (§4.7): the flat space is cut into
-    buckets, bucket *k*'s reduce-scatter runs on the kernel pool while
-    the calling thread applies bucket *k-1*'s shard Adam, and the
-    all-gather is the same alias-detected no-op.  Reduction keeps the
-    serial left-fold rank order per bucket and the Adam kernel is the
-    fused chunk kernel, so the pipelined step is bitwise identical to
-    the serial :meth:`step_flat` (the ``tests/parallel`` suite holds
-    this).  The two staging buckets are double-buffered through an
-    optional :class:`PinnedBufferPool`, modelling the page-locked
-    transfer buffers a real engine keeps.
+    ``pipeline=True`` overlaps the step the way SuperOffload's engine
+    does (§4.7): the flat space is cut into buckets and bucket *k+1*'s
+    reduce-scatter runs on the kernel pool while the calling thread
+    applies bucket *k*'s shard Adam, double-buffered through two staging
+    buckets (optionally reserved from a :class:`PinnedBufferPool`,
+    modelling the page-locked transfer buffers a real engine keeps).
+    ``offload="disk"`` runs that same bucket loop with the (m, v) planes
+    parked in a :class:`SpillArena`, so the NVMe read of buckets
+    ``k+1..k+depth`` overlaps as a third stream.  Serial, pipelined and
+    disk steps are bitwise identical (the ``tests/parallel`` suite holds
+    this); the dict-copy and strict-sequence-disk ancestors survive as
+    the measured baselines :func:`repro.reference.zero_dict_copy_step`
+    and :func:`repro.reference.zero_disk_sync_step`.
 
     Args:
         params: shared fp32 master parameters (updated in place — in a real
@@ -117,35 +246,25 @@ class ZeroShardedAdam:
         zero: ZeRO behaviour switches.
         telemetry: span/counter sink shared with the internal communicator
             (no-op by default).
-        zero_copy: arena-backed dataflow (default) vs. dict-copy baseline.
-        pipeline: overlap bucket reduce with shard Adam (requires
-            ``zero_copy=True``).
-        bucket_elements: pipelined bucket size in fp32 elements; buckets
-            never cross a shard boundary, so the effective size is capped
-            at the shard length.  ``None`` resolves the
+        pipeline: overlap bucket reduce with shard Adam.
+        bucket_elements: bucket size in fp32 elements; buckets never
+            cross a shard boundary, so the effective size is capped at
+            the shard length.  ``None`` resolves the
             ``zero.bucket_elements`` tunable (registry default, or the
             host-measured value when a tuning profile is active).
-        pool: kernel pool the overlapped reduces and chunked Adam run on
-            (``None`` uses the process default).
-        pinned_pool: optional pinned-memory pool the two staging buckets
-            are reserved from; reservations are released by
-            :meth:`release_staging`.
+        pool: kernel pool the overlapped reduces run on.  ``None`` means
+            the shared multi-worker process-default pool, as everywhere
+            in :mod:`repro.exec` — never "the calling thread".
+        pinned_pool: optional pinned-memory pool the staging buckets (and
+            the disk slot ring) are reserved from; reservations are
+            released by :meth:`release_staging`.
         offload: ``"none"`` (resident fp32 moments, default) or
-            ``"disk"`` — park the (m, v) moment planes in a
-            :class:`SpillArena` under ``spill_dir`` and stream each
-            bucket's extents through staging slots.  With
-            ``spill_prefetch`` the NVMe read of bucket ``k+1..k+depth``,
-            the reduce of bucket ``k+1``, and bucket ``k``'s shard Adam
-            overlap three ways; the result is bitwise identical to the
-            resident step because fp32 round-trips through disk are
-            byte-exact and the bucket order, reduce fold, and per-shard
-            step counters are unchanged.  Requires ``zero_copy=True``.
+            ``"disk"`` — park the (m, v) moment planes under
+            ``spill_dir`` and stream each bucket's extents through
+            staging slots (always bucketed, whatever ``pipeline`` says).
         spill_dir: directory for the moment plane files (disk mode).
-        spill_prefetch: overlap the disk reads ahead of the bucket loop;
-            ``False`` is the honest non-overlapped baseline the bench
-            compares against.
-        spill_prefetch_depth: buckets read ahead; ``None`` resolves the
-            ``spill.prefetch_depth`` tunable.
+        spill_prefetch_depth: buckets read ahead (>= 1); ``None``
+            resolves the ``spill.prefetch_depth`` tunable.
         spill_chunk_bytes: spill extent size; ``None`` resolves the
             ``spill.chunk_bytes`` tunable.
     """
@@ -157,125 +276,80 @@ class ZeroShardedAdam:
         config: AdamConfig | None = None,
         zero: ZeroConfig | None = None,
         telemetry: Telemetry | None = None,
-        zero_copy: bool = True,
         pipeline: bool = False,
         bucket_elements: int | None = None,
         pool: KernelPool | None = None,
         pinned_pool: PinnedBufferPool | None = None,
         offload: str = "none",
         spill_dir: "str | None" = None,
-        spill_prefetch: bool = True,
         spill_prefetch_depth: int | None = None,
         spill_chunk_bytes: int | None = None,
     ):
         if world_size < 1:
             raise ValueError("world_size must be >= 1")
-        if pipeline and not zero_copy:
-            raise ValueError("pipeline=True requires zero_copy=True")
         if offload not in ("none", "disk"):
             raise ValueError("offload must be 'none' or 'disk'")
-        if offload == "disk" and not zero_copy:
-            raise ValueError("offload='disk' requires zero_copy=True")
         if offload == "disk" and spill_dir is None:
             raise ValueError("offload='disk' requires spill_dir")
         if bucket_elements is None:
             bucket_elements = tune.value("zero.bucket_elements")
         if bucket_elements < 1:
             raise ValueError("bucket_elements must be >= 1")
+        if spill_prefetch_depth is None:
+            spill_prefetch_depth = tune.value("spill.prefetch_depth")
+        if spill_prefetch_depth < 1:
+            raise ValueError("spill_prefetch_depth must be >= 1")
         self.params = params
         self.world_size = world_size
         self.zero = zero or ZeroConfig()
         self.config = config or AdamConfig()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.group = SimProcessGroup(world_size, telemetry=self.telemetry)
-        self.layout = partition_params(params, world_size)
-        shard_len = self.layout.total // world_size
-        self._shard_len = shard_len
-        self.zero_copy = zero_copy
+        self.arena = FlatArena.adopt(
+            params, world_size, telemetry=self.telemetry
+        )
+        total = self.arena.layout.total
+        self._shard_len = total // world_size
         self.pipeline = pipeline
-        self.bucket_elements = min(bucket_elements, shard_len)
+        self.bucket_elements = min(bucket_elements, self._shard_len)
         self._pool = pool
         self._pinned_pool = pinned_pool
         self._staging: List[np.ndarray] = []
         self._staging_allocs: list = []
-        self.arena: Optional[FlatArena] = None
         self._grad_arenas: Dict[int, FlatArena] = {}
-        self._rank_optimizers: List[GraceAdam] = []
-        self.offload = offload
+        self._steps: List[int] = [0] * world_size
+        #: The moment planes' :class:`SpillArena` (``None`` when resident).
         self.spill: Optional[SpillArena] = None
-        self.spill_prefetch = spill_prefetch
-        if spill_prefetch_depth is None:
-            spill_prefetch_depth = tune.value("spill.prefetch_depth")
-        self._prefetch_depth = max(1, spill_prefetch_depth)
-        self._disk_steps: List[int] = [0] * world_size
-        self._disk_slots: Dict[str, List[np.ndarray]] = {}
-        self._disk_slot_allocs: list = []
-        if zero_copy:
-            self.arena = FlatArena.adopt(
-                params, world_size, telemetry=self.telemetry
+        if offload == "disk":
+            # The (m, v) planes never materialise in host memory: they
+            # live in extent-aligned files, zero-filled exactly like
+            # freshly allocated moments, and only bucket-sized windows
+            # are resident at a time.
+            self.spill = SpillArena(
+                spill_dir, {"m": total, "v": total},
+                chunk_bytes=spill_chunk_bytes, pinned_pool=pinned_pool,
+                telemetry=self.telemetry,
             )
-            if offload == "disk":
-                # The (m, v) planes never materialise in host memory:
-                # they live in extent-aligned files, zero-filled exactly
-                # like freshly allocated moments, and only bucket-sized
-                # windows are resident at a time.
-                total = self.layout.total
-                self.spill = SpillArena(
-                    spill_dir, {"m": total, "v": total},
-                    chunk_bytes=spill_chunk_bytes,
-                    pinned_pool=pinned_pool,
-                    telemetry=self.telemetry,
-                )
-            else:
-                # Rank r owns arena.shard(r) as a *view*: its Adam
-                # updates land directly in the master flat buffer.
-                for r in range(world_size):
-                    self._rank_optimizers.append(
-                        GraceAdam({"shard": self.arena.shard(r)},
-                                  self.config)
-                    )
+            self._moments = _DiskMoments(
+                self.spill, spill_prefetch_depth, self.bucket_elements,
+                pinned_pool,
+            )
         else:
-            flat = self._flatten(params)
-            # Rank r owns a private copy of flat[r*shard : (r+1)*shard].
-            for r in range(world_size):
-                shard = flat[r * shard_len : (r + 1) * shard_len].copy()
-                self._rank_optimizers.append(
-                    GraceAdam({"shard": shard}, config or AdamConfig())
-                )
+            self._moments = _ResidentMoments(total)
 
-    def _flatten(self, tensors: Params) -> np.ndarray:
-        flat = np.zeros(self.layout.total, dtype=np.float32)
-        for name, offset, shape in zip(
-            self.layout.names, self.layout.offsets, self.layout.shapes
-        ):
-            size = int(np.prod(shape)) if shape else 1
-            flat[offset : offset + size] = np.asarray(
-                tensors[name], dtype=np.float32
-            ).reshape(-1)
-        return flat
-
-    def _unflatten_into(self, flat: np.ndarray, out: Params) -> None:
-        for name, offset, shape in zip(
-            self.layout.names, self.layout.offsets, self.layout.shapes
-        ):
-            size = int(np.prod(shape)) if shape else 1
-            out[name][...] = flat[offset : offset + size].reshape(shape)
-
-    def owned_slice(self, rank: int) -> Tuple[int, int]:
+    def owned_slice(self, rank: int) -> Span:
         """Flat [start, stop) owned by ``rank``."""
         if not 0 <= rank < self.world_size:
             raise IndexError(f"rank {rank} out of range")
         return rank * self._shard_len, (rank + 1) * self._shard_len
 
     def grad_arena(self, rank: int) -> FlatArena:
-        """Rank ``rank``'s persistent gradient arena (zero-copy mode only).
+        """Rank ``rank``'s persistent gradient arena.
 
         Producers that can write gradients into this arena's views (or
         its flat buffer) make :meth:`step` fully copy-free; it is also
         the reusable landing zone :meth:`step` ingests plain dicts into.
         """
-        if self.arena is None:
-            raise RuntimeError("gradient arenas require zero_copy=True")
         if not 0 <= rank < self.world_size:
             raise IndexError(f"rank {rank} out of range")
         ga = self._grad_arenas.get(rank)
@@ -289,16 +363,13 @@ class ZeroShardedAdam:
 
         Implements the ZeRO dataflow: reduce-scatter -> local Adam on the
         owned shard -> all-gather the updated parameters back into
-        ``self.params``.  In zero-copy mode, gradient dicts that already
-        alias an arena with this layout are used in place; others are
-        ingested into persistent per-rank gradient arenas (one counted
-        copy), and the rest of the step moves no parameter bytes.
+        ``self.params``.  Gradient dicts that already alias an arena
+        with this layout are used in place; others are ingested into
+        persistent per-rank gradient arenas (one counted copy), and the
+        rest of the step moves no parameter bytes.
         """
         if len(per_rank_grads) != self.world_size:
             raise ValueError("one gradient dict per rank required")
-        if not self.zero_copy:
-            self._step_dict_copy(per_rank_grads)
-            return
         flats: List[np.ndarray] = []
         for r, grads in enumerate(per_rank_grads):
             flat = self.arena.flat_of(grads)
@@ -314,15 +385,18 @@ class ZeroShardedAdam:
 
         The fully zero-copy entry point: each buffer must be a dense fp32
         vector of the padded flat length (e.g. ``grad_arena(r).flat``).
-        The reduce-scatter chunks are averaged in place, each shard Adam
-        updates its arena view directly, and the all-gather skips every
-        chunk that already aliases its destination.
+        Without ``pipeline`` (or below the tuned ``zero.min_pipeline``
+        crossover, where staging and submit round-trips cost more than
+        the overlap saves) this is the plain serial dataflow: one
+        reduce-scatter averaged in place, each shard's Adam applied to
+        its arena view, and an all-gather that skips every chunk already
+        aliasing its destination.  Otherwise — and always with disk
+        offload, whose moments only exist a bucket at a time — it is the
+        bitwise-identical overlapped bucket loop.
         """
-        if self.arena is None:
-            raise RuntimeError("step_flat requires zero_copy=True")
         if len(per_rank_flat) != self.world_size:
             raise ValueError("one flat gradient buffer per rank required")
-        total = self.layout.total
+        total = self.arena.layout.total
         for r, flat in enumerate(per_rank_flat):
             if (not isinstance(flat, np.ndarray) or flat.ndim != 1
                     or flat.dtype != np.float32 or flat.size != total):
@@ -330,20 +404,16 @@ class ZeroShardedAdam:
                     f"rank {r} flat gradient must be a 1-D fp32 array of "
                     f"length {total}"
                 )
-        if self.offload == "disk":
-            self._step_flat_disk(per_rank_flat)
-            return
-        if self.pipeline and total >= tune.value(
-            "zero.min_pipeline", 0, size=total
+        if not self._moments.resident or (
+            self.pipeline
+            and total >= tune.value("zero.min_pipeline", 0, size=total)
         ):
-            # Below the tuned crossover the double-buffer staging and
-            # submit round-trips cost more than the overlap saves; the
-            # serial dataflow is bitwise identical, so falling back is
-            # free.  Untuned, the crossover is 0: always pipeline,
-            # exactly the pre-tuner behaviour.
-            self._step_flat_pipelined(per_rank_flat)
+            self._step_buckets(per_rank_flat)
             return
         tracer = self.telemetry.tracer
+        moments = self._moments
+        tile = tune.value("adam.cache_tile", kernels.CACHE_TILE,
+                          size=self._shard_len)
         with tracer.span("zero_step", category="optim",
                          world_size=self.world_size):
             with tracer.span("grad_reduce", category="comm",
@@ -352,401 +422,149 @@ class ZeroShardedAdam:
                 if self.zero.average_gradients:
                     for s in shards:
                         s /= np.float32(self.world_size)
-            for r, opt in enumerate(self._rank_optimizers):
+            moments.begin([self.owned_slice(r)
+                           for r in range(self.world_size)])
+            for r in range(self.world_size):
                 with tracer.span("shard_adam", category="optim", rank=r):
-                    opt.step({"shard": shards[r]})
+                    m, v = moments.acquire(r)
+                    kernels.adam_chunk(
+                        0, self._shard_len, self.arena.shard(r), m, v,
+                        shards[r], self._next_hyper(r), tile,
+                    )
+                    moments.commit(r)
+            moments.finish()
             with tracer.span("param_gather", category="comm",
                              op="all_gather"):
                 self.group.all_gather_into(
-                    [opt.params["shard"] for opt in self._rank_optimizers],
+                    [self.arena.shard(r) for r in range(self.world_size)],
                     self.arena.flat,
                 )
                 # The unflatten stage the dict-copy dataflow needed.
                 self.arena.note_alias(self.arena.flat.nbytes)
 
-    def _ensure_staging(self) -> List[np.ndarray]:
-        """The two bucket staging buffers (lazily built, reused per step).
-
-        When a :class:`PinnedBufferPool` was provided, each buffer's
-        bytes are reserved from it (tagged ``zero_bucket_staging``); a
-        full pool degrades to unpinned staging, exactly the pageable
-        fallback §4.5 describes.
-        """
-        if not self._staging:
-            nbytes = self.bucket_elements * 4
-            for i in range(2):
-                self._staging.append(
-                    np.empty(self.bucket_elements, dtype=np.float32)
-                )
-                if self._pinned_pool is not None:
-                    alloc = self._pinned_pool.try_reserve(
-                        nbytes, tag=f"zero_bucket_staging_{i}"
-                    )
-                    if alloc is not None:
-                        self._staging_allocs.append(alloc)
-        return self._staging
+    def _next_hyper(self, rank: int) -> "kernels.AdamChunkHyper":
+        """Advance ``rank``'s step counter (once per global step, before
+        its shard is touched) and build that step's chunk hyperparameters."""
+        self._steps[rank] += 1
+        return kernels.AdamChunkHyper.from_config(
+            self.config, self._steps[rank]
+        )
 
     def release_staging(self) -> None:
         """Drop the staging buffers and return their pinned reservations."""
         if self._pinned_pool is not None:
             for alloc in self._staging_allocs:
                 self._pinned_pool.release(alloc)
-            for alloc in self._disk_slot_allocs:
-                self._pinned_pool.release(alloc)
         self._staging_allocs.clear()
         self._staging.clear()
-        self._disk_slot_allocs.clear()
-        self._disk_slots.clear()
+        self._moments.release()
 
     def close_spill(self) -> None:
         """Drain and close the spill arena (disk mode; idempotent)."""
         if self.spill is not None:
             self.spill.close()
 
-    def _ensure_disk_slots(self, n_slots: int) -> Dict[str, List[np.ndarray]]:
-        """Per-plane staging slot rings for the disk-offloaded step.
-
-        Each of the ``n_slots`` slots per plane holds one bucket's
-        extents; slot bytes are reserved from the pinned pool when one
-        was provided (tagged ``spill_slot``), degrading to pageable
-        buffers when it is exhausted.
-        """
-        if self._disk_slots and len(self._disk_slots["m"]) != n_slots:
-            # Prefetch shape changed (e.g. toggled off): rebuild.
-            if self._pinned_pool is not None:
-                for alloc in self._disk_slot_allocs:
-                    self._pinned_pool.release(alloc)
-            self._disk_slot_allocs.clear()
-            self._disk_slots.clear()
-        if not self._disk_slots:
-            nbytes = self.bucket_elements * 4
-            for plane in ("m", "v"):
-                slots = []
-                for i in range(n_slots):
-                    slots.append(
-                        np.empty(self.bucket_elements, dtype=np.float32)
-                    )
-                    if self._pinned_pool is not None:
-                        alloc = self._pinned_pool.try_reserve(
-                            nbytes, tag=f"spill_slot_{plane}{i}"
-                        )
-                        if alloc is not None:
-                            self._disk_slot_allocs.append(alloc)
-                self._disk_slots[plane] = slots
-        return self._disk_slots
-
     def _buckets(self) -> List[Tuple[int, int, int]]:
-        """(rank, shard-local lo, shard-local hi) in serial rank order.
+        """(rank, flat lo, flat hi) in serial rank order.
 
         Buckets never cross a shard boundary: each one belongs to exactly
-        one rank's optimizer, so the per-shard Adam step count and bias
+        one rank's shard, so the per-shard Adam step count and bias
         correction match the unbucketed step.
         """
         out: List[Tuple[int, int, int]] = []
         for r in range(self.world_size):
-            for lo in range(0, self._shard_len, self.bucket_elements):
-                out.append((r, lo, min(self._shard_len,
-                                       lo + self.bucket_elements)))
+            lo, hi = self.owned_slice(r)
+            for blo in range(lo, hi, self.bucket_elements):
+                out.append((r, blo, min(hi, blo + self.bucket_elements)))
         return out
 
-    def _step_flat_pipelined(self, per_rank_flat: Sequence[np.ndarray]) -> None:
+    def _step_buckets(self, per_rank_flat: Sequence[np.ndarray]) -> None:
         """The overlapped bucket dataflow (bitwise twin of the serial step).
 
         Bucket ``k+1``'s reduce-scatter is *submitted* to the kernel pool
         and runs on a worker thread while the calling thread applies
-        bucket ``k``'s fused shard Adam — the overlap of §4.7, double-
-        buffered through the two staging buckets.  Bitwise identity with
-        :meth:`step_flat` holds because (a) each bucket's reduction is
-        the same left fold over ranks the serial reduce-scatter performs,
-        followed by the same elementwise divide, (b) the fused Adam chunk
-        kernel is bitwise identical to the shard optimizer's serial walk,
-        and (c) every per-shard step counter is bumped exactly once per
-        global step, before that shard's first bucket.  Gradients must
-        not alias the parameter arena (they never do: gradient arenas are
-        separate buffers) — the overlapped reduce reads them while
-        earlier buckets' parameters are being written.
+        bucket ``k``'s fused shard Adam; the moment store hands each
+        bucket its (m, v) window — a view when resident, a prefetched
+        staging slot written back behind the loop when on disk (§2.2).
+        Bitwise identity with the serial :meth:`step_flat` holds because
+        (a) each bucket's reduction is the same left fold over ranks the
+        serial reduce-scatter performs, followed by the same elementwise
+        divide, (b) the Adam kernel is elementwise, so cutting a shard
+        into buckets changes no bit, (c) every per-shard step counter is
+        bumped exactly once per global step, before that shard's first
+        bucket, and (d) fp32 disk round-trips are byte-exact.  Gradients
+        must not alias the parameter arena (gradient arenas are separate
+        buffers): the overlapped reduce reads them while earlier
+        buckets' parameters are being written.
         """
         tracer = self.telemetry.tracer
         divisor = (np.float32(self.world_size)
                    if self.zero.average_gradients else None)
         pool = self._pool if self._pool is not None else get_pool()
-        staging = self._ensure_staging()
+        if not self._staging:
+            self._staging = _fp32_buffers(
+                2, self.bucket_elements, self._pinned_pool,
+                "zero_bucket_staging_", self._staging_allocs,
+            )
+        staging = self._staging
         buckets = self._buckets()
-        shard_len = self._shard_len
+        moments = self._moments
+        master = self.arena.flat
         tile = tune.value("adam.cache_tile", kernels.CACHE_TILE,
                           size=self.bucket_elements)
 
         def submit_reduce(k: int):
-            r, blo, bhi = buckets[k]
-            glo = r * shard_len + blo
-            if not tracer.enabled:
-                # Disabled path submits the raw kernel: zero per-bucket
-                # tracing overhead when telemetry is off.
-                return pool.submit(
-                    kernels.reduce_chunk, glo, glo + (bhi - blo),
-                    staging[k % 2], glo, per_rank_flat, divisor,
-                )
-
-            def traced_reduce(lo, hi, out, base, flats, div,
-                              _k=k, _r=r):
-                with tracer.span("bucket_reduce", category="comm",
-                                 bucket=_k, rank=_r):
-                    return kernels.reduce_chunk(lo, hi, out, base,
-                                                flats, div)
-
-            return pool.submit(
-                traced_reduce, glo, glo + (bhi - blo),
-                staging[k % 2], glo, per_rank_flat, divisor,
-            )
+            r, lo, hi = buckets[k]
+            # With telemetry off the raw kernel is submitted: zero
+            # per-bucket tracing overhead.
+            reduce = kernels.reduce_chunk
+            if tracer.enabled:
+                def reduce(*args):
+                    with tracer.span("bucket_reduce", category="comm",
+                                     bucket=k, rank=r):
+                        kernels.reduce_chunk(*args)
+            return pool.submit(reduce, lo, hi, staging[k % 2], lo,
+                               per_rank_flat, divisor)
 
         with tracer.span("zero_step", category="optim",
                          world_size=self.world_size, pipelined=True,
-                         buckets=len(buckets)):
+                         buckets=len(buckets), **moments.span_attrs):
             # The collectives are fused into the bucket loop; account the
             # same payloads the serial entry points would have counted.
             self.group.count_payload(
                 "reduce_scatter", sum(b.nbytes for b in per_rank_flat)
             )
+            moments.begin([(lo, hi) for _, lo, hi in buckets])
             pending = submit_reduce(0)
             hyper = None
             prev_rank = -1
-            for k, (r, blo, bhi) in enumerate(buckets):
+            for k, (r, lo, hi) in enumerate(buckets):
                 with tracer.span("bucket_wait", category="stall", bucket=k):
                     pending.result()
                 if k + 1 < len(buckets):
                     pending = submit_reduce(k + 1)
-                opt = self._rank_optimizers[r]
-                st = opt.state["shard"]
+                m, v = moments.acquire(k)
                 if r != prev_rank:
-                    st.step += 1
-                    hyper = kernels.AdamChunkHyper.from_config(
-                        opt.config, st.step
-                    )
+                    hyper = self._next_hyper(r)
                     prev_rank = r
                 with tracer.span("bucket_adam", category="optim",
                                  rank=r, bucket=k):
                     kernels.adam_chunk(
-                        0, bhi - blo,
-                        opt.params["shard"][blo:bhi],
-                        st.m[blo:bhi], st.v[blo:bhi],
-                        staging[k % 2][: bhi - blo], hyper, tile,
+                        0, hi - lo, master[lo:hi], m, v,
+                        staging[k % 2][: hi - lo], hyper, tile,
                     )
+                moments.commit(k)
+            moments.finish()
             # The all-gather of the serial dataflow: every shard is an
             # arena view, so the gather is pure aliasing — count the
             # payload and the saved copy, move no bytes.
-            self.group.count_payload(
-                "all_gather",
-                sum(opt.params["shard"].nbytes
-                    for opt in self._rank_optimizers),
-            )
-            self.arena.note_alias(self.arena.flat.nbytes)
-
-    def _bump_disk_step(self, rank: int) -> "kernels.AdamChunkHyper":
-        """Advance rank ``rank``'s step counter (once per global step,
-        before its first bucket) and build the chunk hyperparameters."""
-        self._disk_steps[rank] += 1
-        return kernels.AdamChunkHyper.from_config(
-            self.config, self._disk_steps[rank]
-        )
-
-    def _step_flat_disk(self, per_rank_flat: Sequence[np.ndarray]) -> None:
-        """Disk-offloaded bucket dataflow with three-way overlap.
-
-        While the calling thread applies bucket ``k``'s fused Adam,
-        bucket ``k+1``'s reduce-scatter runs on the kernel pool *and* the
-        spill arena streams buckets ``k+1..k+depth``'s (m, v) extents in
-        from disk — the NVMe read, the collective, and the optimizer math
-        overlap the way §2.2's offload tier requires.  Moment writes for
-        bucket ``k`` drain on the arena's independent write stream, so
-        prefetches never queue behind the write backlog; a staging slot
-        is re-read only after its write-back ticket settles, and the step
-        only blocks (a ``spill_wait`` span) when the disk falls behind
-        compute.  Bitwise identity with the resident step holds
-        because fp32 disk round-trips are byte-exact and the bucket
-        order, reduce fold, Adam kernel, and step-counter discipline are
-        those of :meth:`_step_flat_pipelined`.
-        """
-        if not self.spill_prefetch:
-            self._step_flat_disk_sync(per_rank_flat)
-            return
-        tracer = self.telemetry.tracer
-        divisor = (np.float32(self.world_size)
-                   if self.zero.average_gradients else None)
-        pool = self._pool if self._pool is not None else get_pool()
-        staging = self._ensure_staging()
-        depth = self._prefetch_depth
-        n_slots = depth + 2
-        slots = self._ensure_disk_slots(n_slots)
-        buckets = self._buckets()
-        shard_len = self._shard_len
-        tile = tune.value("adam.cache_tile", kernels.CACHE_TILE,
-                          size=self.bucket_elements)
-        sp = self.spill
-        read_tickets: List[Optional[Tuple[SpillTicket, SpillTicket]]] = (
-            [None] * len(buckets)
-        )
-        write_tickets: List[SpillTicket] = []
-        # Reads and writes run on independent spill streams, so a slot's
-        # write-back must be explicitly settled before a prefetch reuses
-        # the slot buffer; a wait here is the disk genuinely falling
-        # behind compute and is accounted as spill_wait.
-        slot_writes: List[List[SpillTicket]] = [[] for _ in range(n_slots)]
-
-        def issue_read(j: int) -> None:
-            if j >= len(buckets):
-                return
-            r, blo, bhi = buckets[j]
-            glo = r * shard_len + blo
-            s = j % n_slots
-            wait_all(slot_writes[s])
-            read_tickets[j] = (
-                sp.read_async("m", glo, glo + (bhi - blo), slots["m"][s]),
-                sp.read_async("v", glo, glo + (bhi - blo), slots["v"][s]),
-            )
-
-        def submit_reduce(k: int):
-            r, blo, bhi = buckets[k]
-            glo = r * shard_len + blo
-            if not tracer.enabled:
-                return pool.submit(
-                    kernels.reduce_chunk, glo, glo + (bhi - blo),
-                    staging[k % 2], glo, per_rank_flat, divisor,
-                )
-
-            def traced_reduce(lo, hi, out, base, flats, div, _k=k, _r=r):
-                with tracer.span("bucket_reduce", category="comm",
-                                 bucket=_k, rank=_r):
-                    return kernels.reduce_chunk(lo, hi, out, base,
-                                                flats, div)
-
-            return pool.submit(
-                traced_reduce, glo, glo + (bhi - blo),
-                staging[k % 2], glo, per_rank_flat, divisor,
-            )
-
-        with tracer.span("zero_step", category="optim",
-                         world_size=self.world_size, pipelined=True,
-                         offload="disk", buckets=len(buckets)):
-            self.group.count_payload(
-                "reduce_scatter", sum(b.nbytes for b in per_rank_flat)
-            )
-            for j in range(min(depth, len(buckets))):
-                issue_read(j)
-            pending = submit_reduce(0)
-            hyper = None
-            prev_rank = -1
-            for k, (r, blo, bhi) in enumerate(buckets):
-                n = bhi - blo
-                glo = r * shard_len + blo
-                s = k % n_slots
-                with tracer.span("bucket_wait", category="stall", bucket=k):
-                    pending.result()
-                if k + 1 < len(buckets):
-                    pending = submit_reduce(k + 1)
-                tickets = read_tickets[k]
-                read_tickets[k] = None
-                for t in tickets:
-                    t.wait()
-                if r != prev_rank:
-                    hyper = self._bump_disk_step(r)
-                    prev_rank = r
-                m_slot = slots["m"][s]
-                v_slot = slots["v"][s]
-                with tracer.span("bucket_adam", category="optim",
-                                 rank=r, bucket=k):
-                    kernels.adam_chunk(
-                        0, n,
-                        self.arena.shard(r)[blo:bhi],
-                        m_slot[:n], v_slot[:n],
-                        staging[k % 2][:n], hyper, tile,
-                    )
-                tm = sp.write_async("m", glo, glo + n, m_slot)
-                tv = sp.write_async("v", glo, glo + n, v_slot)
-                write_tickets.extend((tm, tv))
-                slot_writes[s].extend((tm, tv))
-                issue_read(k + depth)
-            wait_all(write_tickets)
-            self.group.count_payload(
-                "all_gather", self.arena.flat.nbytes
-            )
-            self.arena.note_alias(self.arena.flat.nbytes)
-
-    def _step_flat_disk_sync(self, per_rank_flat: Sequence[np.ndarray]) -> None:
-        """Non-overlapped disk baseline: read, reduce, Adam, write, in
-        strict sequence per bucket.  Bitwise identical to the overlapped
-        path (same buckets, same kernels); every disk byte is an exposed
-        stall, which is exactly what the spill bench measures the
-        overlapped step against.
-        """
-        tracer = self.telemetry.tracer
-        divisor = (np.float32(self.world_size)
-                   if self.zero.average_gradients else None)
-        staging = self._ensure_staging()
-        slots = self._ensure_disk_slots(1)
-        buckets = self._buckets()
-        shard_len = self._shard_len
-        tile = tune.value("adam.cache_tile", kernels.CACHE_TILE,
-                          size=self.bucket_elements)
-        sp = self.spill
-        with tracer.span("zero_step", category="optim",
-                         world_size=self.world_size, offload="disk",
-                         buckets=len(buckets)):
-            self.group.count_payload(
-                "reduce_scatter", sum(b.nbytes for b in per_rank_flat)
-            )
-            hyper = None
-            prev_rank = -1
-            for k, (r, blo, bhi) in enumerate(buckets):
-                n = bhi - blo
-                glo = r * shard_len + blo
-                m_slot = slots["m"][0]
-                v_slot = slots["v"][0]
-                sp.read("m", glo, glo + n, m_slot)
-                sp.read("v", glo, glo + n, v_slot)
-                with tracer.span("bucket_reduce", category="comm",
-                                 bucket=k, rank=r):
-                    kernels.reduce_chunk(
-                        glo, glo + n, staging[0], glo,
-                        per_rank_flat, divisor,
-                    )
-                if r != prev_rank:
-                    hyper = self._bump_disk_step(r)
-                    prev_rank = r
-                with tracer.span("bucket_adam", category="optim",
-                                 rank=r, bucket=k):
-                    kernels.adam_chunk(
-                        0, n,
-                        self.arena.shard(r)[blo:bhi],
-                        m_slot[:n], v_slot[:n],
-                        staging[0][:n], hyper, tile,
-                    )
-                sp.write("m", glo, glo + n, m_slot)
-                sp.write("v", glo, glo + n, v_slot)
-            self.group.count_payload(
-                "all_gather", self.arena.flat.nbytes
-            )
-            self.arena.note_alias(self.arena.flat.nbytes)
+            self.group.count_payload("all_gather", master.nbytes)
+            self.arena.note_alias(master.nbytes)
 
     def moment_planes(self) -> Dict[str, np.ndarray]:
-        """Fresh fp32 copies of the full (m, v) moment planes.
-
-        Uniform across resident and disk offload modes — the checkpoint
-        path uses this to snapshot optimizer state without caring where
-        the moments live.
-        """
-        total = self.layout.total
-        m = np.empty(total, dtype=np.float32)
-        v = np.empty(total, dtype=np.float32)
-        if self.offload == "disk":
-            self.spill.read("m", 0, total, m)
-            self.spill.read("v", 0, total, v)
-        else:
-            for r, opt in enumerate(self._rank_optimizers):
-                lo, hi = self.owned_slice(r)
-                st = opt.state["shard"]
-                m[lo:hi] = st.m
-                v[lo:hi] = st.v
-        return {"m": m, "v": v}
+        """Fresh fp32 copies of the full (m, v) moment planes, wherever
+        they live (what the checkpoint path snapshots)."""
+        return self._moments.snapshot()
 
     def load_moments(
         self, m: np.ndarray, v: np.ndarray, steps: Sequence[int]
@@ -754,54 +572,24 @@ class ZeroShardedAdam:
         """Restore the (m, v) planes and per-shard step counters
         (checkpoint resume; the inverse of :meth:`moment_planes` +
         :meth:`shard_steps`)."""
-        total = self.layout.total
+        total = self.arena.layout.total
         if m.shape != (total,) or v.shape != (total,):
             raise TensorValidationError(
                 f"moment planes must be 1-D of length {total}"
             )
         if len(steps) != self.world_size:
             raise ValueError("one step counter per rank required")
-        if self.offload == "disk":
-            self.spill.write("m", 0, total, np.ascontiguousarray(m))
-            self.spill.write("v", 0, total, np.ascontiguousarray(v))
-            self._disk_steps = [int(s) for s in steps]
-        else:
-            for r, opt in enumerate(self._rank_optimizers):
-                lo, hi = self.owned_slice(r)
-                st = opt.state["shard"]
-                st.m[...] = m[lo:hi]
-                st.v[...] = v[lo:hi]
-                st.step = int(steps[r])
+        self._moments.load(m, v)
+        self._steps = [int(s) for s in steps]
 
     def shard_steps(self) -> List[int]:
         """Per-rank Adam step counters (uniform after full steps)."""
-        if self.offload == "disk":
-            return list(self._disk_steps)
-        return [opt.state["shard"].step for opt in self._rank_optimizers]
-
-    def _step_dict_copy(self, per_rank_grads: Sequence[Params]) -> None:
-        """The historical flatten/unflatten dataflow (bench baseline)."""
-        tracer = self.telemetry.tracer
-        with tracer.span("zero_step", category="optim",
-                         world_size=self.world_size):
-            flat_grads = [self._flatten(g) for g in per_rank_grads]
-            shards = self.group.reduce_scatter(flat_grads)
-            if self.zero.average_gradients:
-                shards = [s / np.float32(self.world_size) for s in shards]
-            updated: List[np.ndarray] = []
-            for r, opt in enumerate(self._rank_optimizers):
-                with tracer.span("shard_adam", category="optim", rank=r):
-                    opt.step({"shard": shards[r].astype(np.float32)})
-                updated.append(opt.params["shard"])
-            gathered = self.group.all_gather(updated)[0][: self.layout.total]
-            self._unflatten_into(gathered, self.params)
+        return list(self._steps)
 
     @property
     def step_count(self) -> int:
         """Steps taken (uniform across shards)."""
-        if self.offload == "disk":
-            return self._disk_steps[0]
-        return self._rank_optimizers[0].step_count
+        return self._steps[0]
 
     def optimizer_state_bytes_per_rank(self) -> int:
         """Bytes of fp32 (master, m, v) each rank holds — the 12Psi/N of

@@ -6,10 +6,10 @@ perf trajectory the ROADMAP's "as fast as the hardware allows" north star
 asks for.  Five sections:
 
 * ``zero_step`` — a full ZeRO update (reduce-scatter, shard Adam,
-  all-gather) with :class:`~repro.parallel.zero.ZeroShardedAdam` in its
-  ``zero_copy=False`` dict-copy mode (flatten / private shards /
-  unflatten) vs. the arena mode fed pre-filled gradient arenas via
-  :meth:`step_flat`.
+  all-gather) through the dict-copy ancestor
+  :func:`repro.reference.zero_dict_copy_step` (flatten / private shards
+  / unflatten) vs. :class:`~repro.parallel.zero.ZeroShardedAdam` fed
+  pre-filled gradient arenas via :meth:`step_flat`.
 * ``rollback`` — STV bucket snapshot capture+restore with an
   arena-backed optimizer (three range memcpys) vs. a plain-dict
   optimizer (per-tensor copies).
@@ -18,9 +18,10 @@ asks for.  Five sections:
   arena.
 * ``parallel_step`` — the chunked-executor GraceAdam flat step
   (:mod:`repro.exec`) vs. the serial flat-arena baseline (CPUAdam's
-  whole-plane fused step, the substrate's pre-executor hot path) and
-  vs. GraceAdam's serial tiled walk, with a bitwise identity check
-  folded into the measurement.
+  whole-plane pass, :func:`repro.reference.cpu_adam_serial`, the
+  substrate's pre-executor hot path) and vs. GraceAdam's serial tiled
+  walk (:func:`repro.reference.grace_adam_serial`), with a bitwise
+  identity check folded into the measurement.
 * ``zero_pipeline`` — the overlapped bucket ZeRO step
   (``pipeline=True``) vs. the serial zero-copy ``step_flat``, also
   bitwise-checked.
@@ -48,22 +49,25 @@ parallelism adds on top.
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro import reference
 from repro.exec.pool import default_workers, get_pool
 from repro.numeric import flash
 from repro.numeric.attention import MultiHeadAttention
 from repro.numeric.transformer import TinyTransformer, TransformerParams
 from repro.optim.adam import AdamConfig
-from repro.optim.implementations import CPUAdam, GraceAdam
+from repro.optim.implementations import GraceAdam
 from repro.optim.rollback import SnapshotRollback
 from repro.parallel.zero import ZeroShardedAdam
 from repro.telemetry import Telemetry
 from repro.tensors.arena import FlatArena
+from repro.tensors.spill import SpillArena
 from repro.tensors.workspace import ActivationWorkspace
 
 #: Flat element counts benchmarked by default (largest ~4M fp32 = 16 MiB
@@ -136,6 +140,7 @@ PIPELINE_BUCKET_ELEMENTS = 1 << 16
 #: matter.
 SPILL_BUCKET_ELEMENTS = 1 << 17
 SPILL_CHUNK_BYTES = 1 << 19
+SPILL_PREFETCH_DEPTH = 4
 
 
 def _make_params(
@@ -178,8 +183,10 @@ def _bench_zero_step(
 ) -> Dict[str, float]:
     params = _make_params(rng, n_total, n_tensors)
     params_arena = {k: v.copy() for k, v in params.items()}
-    baseline = ZeroShardedAdam(params, world_size, zero_copy=False)
-    arena_opt = ZeroShardedAdam(params_arena, world_size, zero_copy=True)
+    config = AdamConfig()
+    layout, shards = reference.zero_dict_copy_shards(params, world_size)
+    steps = itertools.count(1)
+    arena_opt = ZeroShardedAdam(params_arena, world_size, config)
     grad_dicts = [
         {k: rng.standard_normal(v.shape, dtype=np.float32)
          for k, v in params.items()}
@@ -189,9 +196,15 @@ def _bench_zero_step(
     for ga, grads in zip(grad_arenas, grad_dicts):
         ga.fill_from(grads)
     flats = [ga.flat for ga in grad_arenas]
-    baseline.step(grad_dicts)           # warm up both paths
+
+    def dict_copy_step():
+        reference.zero_dict_copy_step(
+            params, layout, shards, grad_dicts, config, next(steps)
+        )
+
+    dict_copy_step()                    # warm up both paths
     arena_opt.step_flat(flats)
-    dict_s = _time(lambda: baseline.step(grad_dicts), repeats)
+    dict_s = _time(dict_copy_step, repeats)
     arena_s = _time(lambda: arena_opt.step_flat(flats), repeats)
     return {
         "elements": n_total,
@@ -286,47 +299,55 @@ def _bench_parallel_step(
     """Chunked-executor flat Adam step vs. its two serial ancestors.
 
     The headline ``speedup`` is against the serial flat-arena baseline
-    (:class:`CPUAdam` with ``chunked=False`` — whole-plane fused passes
+    (:func:`repro.reference.cpu_adam_serial` — whole-plane fused passes
     with full-size out-of-place temporaries, the substrate's pre-executor
     hot path and the paper's "CPU-Adam" Table 3 referent).
-    ``speedup_vs_tiled`` is against :class:`GraceAdam`'s serial tiled
-    walk, whose cache-resident temporaries make it the tighter contest.
-    All three optimizers start from bitwise-identical state and step on
-    bitwise-identical gradients; ``bitwise_identical`` covers every
-    timed step, not just a warm-up.
+    ``speedup_vs_tiled`` is against GraceAdam's serial tiled walk
+    (:func:`repro.reference.grace_adam_serial`), whose cache-resident
+    temporaries make it the tighter contest.  All three contestants
+    start from bitwise-identical state and step on bitwise-identical
+    gradients; ``bitwise_identical`` covers every timed step, not just a
+    warm-up.
     """
     config = AdamConfig(lr=1e-3, weight_decay=0.01)
-    params_serial = _make_params(rng, n_total, n_tensors)
-    params_tiled = {k: v.copy() for k, v in params_serial.items()}
-    params_par = {k: v.copy() for k, v in params_serial.items()}
-    for p in (params_serial, params_tiled, params_par):
-        FlatArena.adopt(p)
-    serial = CPUAdam(params_serial, config, chunked=False)
-    tiled = GraceAdam(params_tiled, config, chunked=False)
+    params_par = _make_params(rng, n_total, n_tensors)
+    FlatArena.adopt(params_par)
     pool = get_pool(workers)
-    par = GraceAdam(params_par, config, pool=pool, chunked=True)
-    grads = serial.arena.like()
+    par = GraceAdam(params_par, config, pool=pool)
+    n = par.arena.layout.unpadded
+    grads = par.arena.like()
     for view in grads.views.values():
         view[...] = rng.standard_normal(view.shape, dtype=np.float32)
-    dicts = []
-    for opt in (serial, tiled, par):
-        ga = opt.arena.like()
-        ga.flat[...] = grads.flat
-        dicts.append(dict(ga.views))
-    for opt, gd in zip((serial, tiled, par), dicts):
-        opt.step(gd)                    # warm up all three paths
-    serial_s, tiled_s, par_s = _time_interleaved(
-        [lambda: serial.step(dicts[0]),
-         lambda: tiled.step(dicts[1]),
-         lambda: par.step(dicts[2])],
-        repeats,
-    )
+    grad_dict = dict(grads.views)
+
+    def grad_plane():
+        # The gradient-dict alias detection every optimizer step pays
+        # (the executor arm does inside ``step``) — so all three arms
+        # differ only in the kernel.
+        return par.arena.flat_of(grad_dict)[:n]
+
+    # The two serial ancestors step bare (p, m, v) planes.
+    serial_pmv = (par.arena.flat[:n].copy(), np.zeros(n, np.float32),
+                  np.zeros(n, np.float32))
+    tiled_pmv = tuple(x.copy() for x in serial_pmv)
+    serial_steps, tiled_steps = itertools.count(1), itertools.count(1)
+    arms = [
+        lambda: reference.cpu_adam_serial(
+            *serial_pmv, grad_plane(), config, next(serial_steps)),
+        lambda: reference.grace_adam_serial(
+            *tiled_pmv, grad_plane(), config, next(tiled_steps),
+            par.tile_size),
+        lambda: par.step(grad_dict),
+    ]
+    for arm in arms:
+        arm()                           # warm up all three paths
+    serial_s, tiled_s, par_s = _time_interleaved(arms, repeats)
     identical = (
-        serial.step_count == tiled.step_count == par.step_count
-        and np.array_equal(serial.arena.flat, par.arena.flat)
-        and np.array_equal(tiled.arena.flat, par.arena.flat)
-        and np.array_equal(serial.arena_m.flat, par.arena_m.flat)
-        and np.array_equal(serial.arena_v.flat, par.arena_v.flat)
+        next(serial_steps) == next(tiled_steps) == par.step_count + 1
+        and np.array_equal(serial_pmv[0], par.arena.flat[:n])
+        and np.array_equal(tiled_pmv[0], par.arena.flat[:n])
+        and np.array_equal(serial_pmv[1], par.arena_m.flat[:n])
+        and np.array_equal(serial_pmv[2], par.arena_v.flat[:n])
     )
     pool.shutdown()
     return {
@@ -398,63 +419,61 @@ def _bench_spill(
     baseline, with the resident step as the roofline.
 
     Three bitwise-identical contestants step on identical gradients: the
-    resident serial ``step_flat`` (moments in memory), the disk-offloaded
-    step with ``spill_prefetch=False`` (every read/write an exposed
-    stall — the honest non-overlapped baseline), and the overlapped
-    disk step (reads prefetched, reduce on the pool, writes behind the
-    bucket loop).  The headline ``speedup`` is sync/overlap — what the
-    prefetch machinery buys at the same disk tier.
+    resident serial ``step_flat`` (moments in memory), the
+    strict-sequence disk step
+    :func:`repro.reference.zero_disk_sync_step` (every read/write an
+    exposed stall — the honest non-overlapped baseline), and the
+    production disk step (reads prefetched, reduce on the pool, writes
+    behind the bucket loop).  The headline ``speedup`` is sync/overlap —
+    what the prefetch machinery buys at the same disk tier.
     """
+    config = AdamConfig()
     params_res = _make_params(rng, n_total, n_tensors)
-    params_sync = {k: v.copy() for k, v in params_res.items()}
     params_ovl = {k: v.copy() for k, v in params_res.items()}
-    resident = ZeroShardedAdam(params_res, world_size)
+    resident = ZeroShardedAdam(params_res, world_size, config)
     pool = get_pool(workers)
     dirs = [tempfile.TemporaryDirectory(prefix="repro-spill-")
             for _ in range(2)]
-    sync = ZeroShardedAdam(
-        params_sync, world_size, offload="disk", spill_dir=dirs[0].name,
-        spill_prefetch=False, bucket_elements=SPILL_BUCKET_ELEMENTS,
-        spill_chunk_bytes=SPILL_CHUNK_BYTES,
-    )
     ovl = ZeroShardedAdam(
-        params_ovl, world_size, offload="disk", spill_dir=dirs[1].name,
-        spill_prefetch=True, bucket_elements=SPILL_BUCKET_ELEMENTS,
-        spill_chunk_bytes=SPILL_CHUNK_BYTES, spill_prefetch_depth=4,
-        pool=pool,
+        params_ovl, world_size, config, offload="disk",
+        spill_dir=dirs[1].name, bucket_elements=SPILL_BUCKET_ELEMENTS,
+        spill_chunk_bytes=SPILL_CHUNK_BYTES,
+        spill_prefetch_depth=SPILL_PREFETCH_DEPTH, pool=pool,
     )
-    flats: Dict[int, List[np.ndarray]] = {}
-    for i, opt in enumerate((resident, sync, ovl)):
-        flats[i] = []
-        for r in range(world_size):
-            ga = opt.grad_arena(r)
-            if i == 0:
-                for view in ga.views.values():
-                    view[...] = rng.standard_normal(
-                        view.shape, dtype=np.float32
-                    )
-            else:
-                ga.flat[...] = flats[0][r]
-            flats[i].append(ga.flat)
-    resident.step_flat(flats[0])        # warm up all three paths
-    sync.step_flat(flats[1])
-    ovl.step_flat(flats[2])
-    resident_s, sync_s, ovl_s = _time_interleaved(
-        [lambda: resident.step_flat(flats[0]),
-         lambda: sync.step_flat(flats[1]),
-         lambda: ovl.step_flat(flats[2])],
-        repeats,
-    )
+    total = resident.arena.layout.total
+    sync_master = resident.arena.flat.copy()
+    sync_spill = SpillArena(dirs[0].name, {"m": total, "v": total},
+                            chunk_bytes=SPILL_CHUNK_BYTES)
+    sync_scratch = np.empty((3, ovl.bucket_elements), dtype=np.float32)
+    flats = []
+    for r in range(world_size):
+        ga = resident.grad_arena(r)
+        for view in ga.views.values():
+            view[...] = rng.standard_normal(view.shape, dtype=np.float32)
+        flats.append(ga.flat)
+    steps = itertools.count(1)
+
+    def sync_step():
+        reference.zero_disk_sync_step(
+            sync_master, sync_spill, flats, sync_scratch, config,
+            next(steps),
+        )
+
+    arms = [lambda: resident.step_flat(flats), sync_step,
+            lambda: ovl.step_flat(flats)]
+    for arm in arms:
+        arm()                           # warm up all three paths
+    resident_s, sync_s, ovl_s = _time_interleaved(arms, repeats)
     identical = (
-        resident.step_count == sync.step_count == ovl.step_count
-        and np.array_equal(resident.arena.flat, sync.arena.flat)
+        resident.step_count == ovl.step_count
+        and np.array_equal(resident.arena.flat, sync_master)
         and np.array_equal(resident.arena.flat, ovl.arena.flat)
     )
     spill_read = ovl.spill.bytes_read
     spill_written = ovl.spill.bytes_written
-    for opt in (sync, ovl):
-        opt.release_staging()
-        opt.close_spill()
+    ovl.release_staging()
+    ovl.close_spill()
+    sync_spill.close()
     pool.shutdown()
     for d in dirs:
         d.cleanup()
@@ -463,7 +482,7 @@ def _bench_spill(
         "bytes": n_total * 4,
         "workers": workers,
         "bucket_elements": ovl.bucket_elements,
-        "prefetch_depth": ovl._prefetch_depth,
+        "prefetch_depth": SPILL_PREFETCH_DEPTH,
         "resident_ms": resident_s * 1e3,
         "sync_ms": sync_s * 1e3,
         "overlap_ms": ovl_s * 1e3,

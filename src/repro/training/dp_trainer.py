@@ -77,8 +77,6 @@ class DataParallelTrainer:
             moment planes to ``spill_dir`` (forwarded to
             :class:`ZeroShardedAdam`; bitwise identical to resident).
         spill_dir: spill directory for ``offload="disk"`` (forwarded).
-        spill_prefetch: overlap the spill reads ahead of the bucket loop
-            (forwarded; ``False`` is the measured baseline).
         plan: optional :class:`~repro.parallel.plan.ParallelPlan` routing
             each replica's forward/backward through the model-parallel
             axes (TP/PP/SP) via :class:`~repro.parallel.plan.PlanModel`.
@@ -105,7 +103,6 @@ class DataParallelTrainer:
         pinned_pool: "PinnedBufferPool | None" = None,
         offload: str = "none",
         spill_dir: "str | None" = None,
-        spill_prefetch: bool = True,
         plan: "ParallelPlan | None" = None,
         n_microbatches: int | None = None,
     ):
@@ -157,8 +154,7 @@ class DataParallelTrainer:
             self.model.params, world_size, config=adam or AdamConfig(),
             telemetry=self.telemetry, pipeline=pipeline,
             bucket_elements=bucket_elements, pool=pool,
-            pinned_pool=pinned_pool, offload=offload,
-            spill_dir=spill_dir, spill_prefetch=spill_prefetch,
+            pinned_pool=pinned_pool, offload=offload, spill_dir=spill_dir,
         )
         # The sharded optimizer adopted the params into a flat arena;
         # allocate same-layout planes for the fp16 model copy and the

@@ -216,7 +216,7 @@ _T = (
         "repro.tensors.spill",
     ),
     Tunable(
-        "spill.prefetch_depth", 2, 0, 64, (1, 2, 4, 8),
+        "spill.prefetch_depth", 2, 1, 64, (1, 2, 4, 8),
         "count",
         "buckets of (m, v) extents read ahead by the disk-offloaded "
         "ZeRO step",

@@ -39,6 +39,7 @@ may import this module; the CLI loads it lazily.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import tempfile
@@ -48,12 +49,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import reference
 from repro.exec import kernels, ops
 from repro.exec.pool import KernelPool, default_workers, get_pool
 from repro.numeric import flash
 from repro.numeric.attention import MultiHeadAttention
 from repro.optim.adam import AdamConfig
-from repro.optim.implementations import CPUAdam, GraceAdam
+from repro.optim.implementations import GraceAdam
 from repro.optim.rollback import SnapshotRollback
 from repro.parallel.zero import ZeroShardedAdam
 from repro.tensors.arena import FlatArena
@@ -409,21 +411,21 @@ def _tune_adam_tile(
 def _tune_grace_tile(
     repeats: int, quick: bool, rng: np.random.Generator
 ) -> TunableOutcome:
-    """Race ``grace.tile_size`` on the serial tiled walk."""
+    """Race ``grace.tile_size`` where production consumes it: the
+    per-tensor tiled walk a *subset*-gradient step takes (STV's
+    bucket-wise ``optimizer.step(bucket_grads)``); full-set arena steps
+    go through the chunked executor and never read the tile."""
     t = registry.get("grace.tile_size")
     out = TunableOutcome(t.name, t.default, None, t.kind)
     n = (1 << 19) if quick else (1 << 21)
     candidates = list(t.choices)
     base_w = rng.standard_normal(n, dtype=np.float32)
     grads = {"w": rng.standard_normal(n, dtype=np.float32)}
-    opts = []
-    for c in candidates:
-        params = {"w": base_w.copy()}
-        FlatArena.adopt(params)
-        opts.append(
-            GraceAdam(params, AdamConfig(lr=1e-3), tile_size=c,
-                      chunked=False)
-        )
+    opts = [
+        GraceAdam({"w": base_w.copy(), "rest": np.zeros(1, np.float32)},
+                  AdamConfig(lr=1e-3), tile_size=c)
+        for c in candidates
+    ]
     arms = [(lambda o=o: o.step(grads)) for o in opts]
     for arm in arms:
         arm()
@@ -537,7 +539,7 @@ def _tune_quant(
     tolerance against the dense-dequant reference plus bitwise
     determinism across worker counts at the candidate value.
     """
-    from repro.exec.ops import parallel_qmatmul, qmatmul_reference
+    from repro.exec.ops import parallel_qmatmul
     from repro.numeric.lowprec import (
         QuantizedTensor,
         quantize_int8_blocked,
@@ -573,7 +575,7 @@ def _tune_quant(
                  if tg.default in gcands else min(times))
     if best != tg.default and times[best_i] < default_s * (1.0 - MARGIN):
         got = parallel_qmatmul(x, qts[best], bias, pool=pool)
-        ref = qmatmul_reference(x, qts[best], bias)
+        ref = reference.qmatmul_reference(x, qts[best], bias)
         scale = float(np.abs(ref).max()) + 1e-12
         tol_ok = float(np.abs(got - ref).max()) / scale <= QMATMUL_TOL
         inline = parallel_qmatmul(x, qts[best], bias, pool=KernelPool(1))
@@ -607,7 +609,7 @@ def _tune_quant(
                   if tt.default in tcands else min(ttimes))
     if tbest != tt.default and ttimes[tbest_i] < tdefault_s * (1.0 - MARGIN):
         got = parallel_qmatmul(x, qt0, bias, pool=pool, tile=tbest)
-        ref = qmatmul_reference(x, qt0, bias)
+        ref = reference.qmatmul_reference(x, qt0, bias)
         scale = float(np.abs(ref).max()) + 1e-12
         tol_ok = float(np.abs(got - ref).max()) / scale <= QMATMUL_TOL
         inline = parallel_qmatmul(
@@ -1104,36 +1106,42 @@ def validate_profile(
             f"p{i}": rng.standard_normal(n // 8, dtype=np.float32)
             for i in range(8)
         }
-        trio = []
-        for _ in range(3):
+        duo = []
+        for _ in range(2):
             ps = {k_: v_.copy() for k_, v_ in params.items()}
             FlatArena.adopt(ps)
-            trio.append(ps)
-        serial = CPUAdam(trio[0], config, chunked=False)
+            duo.append(ps)
         with runtime.overridden(profile):
-            tuned = GraceAdam(trio[1], config, pool=pool, chunked=True)
+            tuned = GraceAdam(duo[0], config, pool=pool)
         with runtime.overridden(None):
-            default = GraceAdam(trio[2], config, pool=pool, chunked=True)
-        grads = serial.arena.like()
+            default = GraceAdam(duo[1], config, pool=pool)
+        grads = tuned.arena.like()
         for view in grads.views.values():
             view[...] = rng.standard_normal(view.shape, dtype=np.float32)
         dicts = []
-        for opt in (serial, tuned, default):
+        for opt in (tuned, default):
             ga = opt.arena.like()
             ga.flat[...] = grads.flat
             dicts.append(dict(ga.views))
+        # The serial ancestor steps bare (p, m, v) planes.
+        serial_p = tuned.arena.flat[:n].copy()
+        serial_m = np.zeros(n, dtype=np.float32)
+        serial_v = np.zeros(n, dtype=np.float32)
+        serial_steps = itertools.count(1)
         arms = [
-            lambda: serial.step(dicts[0]),
-            _under(profile, lambda: tuned.step(dicts[1])),
-            _under(None, lambda: default.step(dicts[2])),
+            lambda: reference.cpu_adam_serial(
+                serial_p, serial_m, serial_v, grads.flat[:n], config,
+                next(serial_steps)),
+            _under(profile, lambda: tuned.step(dicts[0])),
+            _under(None, lambda: default.step(dicts[1])),
         ]
         for arm in arms:
             arm()
         _, tuned_s, default_s = _ab_time(arms, repeats)
         bitwise = (
-            serial.step_count == tuned.step_count == default.step_count
-            and np.array_equal(serial.arena.flat, tuned.arena.flat)
-            and np.array_equal(serial.arena.flat, default.arena.flat)
+            next(serial_steps) - 1 == tuned.step_count == default.step_count
+            and np.array_equal(serial_p, tuned.arena.flat[:n])
+            and np.array_equal(serial_p, default.arena.flat[:n])
         )
         checks.append(ValidationCheck(
             "parallel_step", n, tuned_s * 1e3, default_s * 1e3, bitwise
@@ -1325,7 +1333,7 @@ def validate_profile(
         xq = rng.standard_normal((8, 256), dtype=np.float32)
         qt = QuantizedTensor(*quantize_int8_blocked(wq, gs), gs)
         got_q = ops.parallel_qmatmul(xq, qt, pool=pool)
-        ref_q = ops.qmatmul_reference(xq, qt)
+        ref_q = reference.qmatmul_reference(xq, qt)
         qscale = float(np.abs(ref_q).max()) + 1e-12
         tol_q = float(np.abs(got_q - ref_q).max()) / qscale <= QMATMUL_TOL
     checks.append(ValidationCheck(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.exec.ops as ops
+from repro import reference
 from repro.exec import kernels
 from repro.exec.ops import (
     parallel_add_scaled,
@@ -67,26 +68,31 @@ class TestAdamStepIdentity:
         pool = KernelPool(workers)
         try:
             par_params = {k: v.copy() for k, v in base.items()}
-            flat_params = {k: v.copy() for k, v in base.items()}
             tensor_params = {k: v.copy() for k, v in base.items()}
             FlatArena.adopt(par_params)
-            FlatArena.adopt(flat_params)
-            par = GraceAdam(par_params, cfg, pool=pool, chunked=True)
-            flat = GraceAdam(flat_params, cfg, chunked=False)
+            par = GraceAdam(par_params, cfg, pool=pool)
             per_tensor = GraceAdam(tensor_params, cfg)
+            # the serial flat ancestor walks bare (p, m, v) planes
+            total = par.arena.layout.unpadded
+            flat_p = par.arena.flat[:total].copy()
+            flat_m = np.zeros(total, dtype=np.float32)
+            flat_v = np.zeros(total, dtype=np.float32)
             for step in range(3):
                 grads = {k: rng.standard_normal(v.shape, dtype=np.float32)
                          for k, v in base.items()}
                 par_g = par.arena.like()
                 par_g.fill_from(grads)
-                flat_g = flat.arena.like()
-                flat_g.fill_from(grads)
                 par.step(dict(par_g.views))
-                flat.step(dict(flat_g.views))
+                reference.grace_adam_serial(
+                    flat_p, flat_m, flat_v, par_g.flat[:total], cfg,
+                    step + 1, par.tile_size,
+                )
                 # plain dict grads: not arena-backed -> per-tensor loop
                 per_tensor.step({k: g.copy() for k, g in grads.items()})
+            np.testing.assert_array_equal(par.arena.flat[:total], flat_p)
+            np.testing.assert_array_equal(par.arena_m.flat[:total], flat_m)
+            np.testing.assert_array_equal(par.arena_v.flat[:total], flat_v)
             for k in base:
-                np.testing.assert_array_equal(par.params[k], flat.params[k])
                 np.testing.assert_array_equal(par.params[k],
                                               per_tensor.params[k])
                 np.testing.assert_array_equal(par.state[k].m,

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.exec.ops as ops
-from repro.exec.ops import parallel_qmatmul, qmatmul_reference
+from repro.exec.ops import parallel_qmatmul
 from repro.exec.pool import KernelPool
 from repro.numeric.lowprec import (
     QuantizedStore,
@@ -30,6 +30,7 @@ from repro.numeric.lowprec import (
     quantization_error_bound,
     quantize_int8_blocked,
 )
+from repro.reference import qmatmul_reference
 
 
 def _weights(rng, rows, cols, scale=0.1):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.optim import AdamConfig, GraceAdam
-from repro.parallel import ZeroConfig, ZeroShardedAdam, partition_params
+from repro.parallel import ZeroConfig, ZeroShardedAdam
 
 
 def make_params(rng):
@@ -13,19 +13,6 @@ def make_params(rng):
         "a": rng.standard_normal((3, 5)).astype(np.float32),
         "b": rng.standard_normal(7).astype(np.float32),
     }
-
-
-class TestPartition:
-    def test_layout_padding(self, rng):
-        params = make_params(rng)  # 22 elements
-        layout = partition_params(params, 4)
-        assert layout.unpadded == 22
-        assert layout.total == 24
-        assert layout.total % 4 == 0
-
-    def test_offsets_contiguous(self, rng):
-        layout = partition_params(make_params(rng), 2)
-        assert layout.offsets == (0, 15)
 
 
 class TestZeroShardedAdam:
@@ -89,7 +76,7 @@ class TestZeroShardedAdam:
         assert slices[0][0] == 0
         for (a, b), (c, d) in zip(slices, slices[1:]):
             assert b == c
-        assert slices[-1][1] == opt.layout.total
+        assert slices[-1][1] == opt.arena.layout.total
         with pytest.raises(IndexError):
             opt.owned_slice(4)
 
@@ -128,94 +115,156 @@ class TestZeroShardedAdam:
         with pytest.raises(ValueError):
             ZeroShardedAdam({"a": np.zeros(2, np.float32)}, 0)
 
+# -- serial == pipelined == disk ------------------------------------------
+
+SMALL = {"a": (3, 5), "b": (7,)}  # 22 elements: pads at world 3 and 4
+
+
+def zero_fixture(seed, shapes, world, mode="serial", spill_dir=None,
+                 pool=None, **kw):
+    """An (optimizer, per-rank flat gradients) pair in one of the three
+    dataflows: ``serial``, ``pipelined`` or ``disk``.
+
+    Same seed and shapes => identical parameters and gradients, so any
+    two fixtures are bitwise comparables whatever their mode.
+    """
+    rng = np.random.default_rng(seed)
+    params = {k: rng.standard_normal(shape, dtype=np.float32)
+              for k, shape in shapes.items()}
+    if mode == "disk":
+        kw.update(offload="disk", spill_dir=str(spill_dir))
+    opt = ZeroShardedAdam(params, world, pipeline=mode != "serial",
+                          pool=pool, **kw)
+    flats = []
+    for r in range(world):
+        ga = opt.grad_arena(r)
+        for view in ga.views.values():
+            view[...] = rng.standard_normal(view.shape, dtype=np.float32)
+        flats.append(ga.flat)
+    return opt, flats
+
+
+def step_twins(twins, steps, seed=0):
+    """Step every (optimizer, flats) twin ``steps`` times, on fresh but
+    identical gradients each step."""
+    rng = np.random.default_rng(seed)
+    first = twins[0][0]
+    n = first.arena.layout.unpadded  # the pad region stays zero
+    for _ in range(steps):
+        for r in range(first.world_size):
+            fresh = rng.standard_normal(n, dtype=np.float32)
+            for _, flats in twins:
+                flats[r][:n] = fresh
+        for opt, flats in twins:
+            opt.step_flat(flats)
+
+
+def assert_bitwise_twins(a, b):
+    """Master weights, both moment planes and the step counters agree."""
+    assert a.shard_steps() == b.shard_steps()
+    np.testing.assert_array_equal(a.arena.flat, b.arena.flat)
+    a_planes, b_planes = a.moment_planes(), b.moment_planes()
+    for plane in ("m", "v"):
+        np.testing.assert_array_equal(a_planes[plane], b_planes[plane])
+
+
+def close_all(*opts):
+    for opt in opts:
+        opt.release_staging()
+        opt.close_spill()
+
+
+class TestBitwiseIdentity:
+    """One dataflow, three schedules: the pipelined and the disk step
+    must equal the serial ``step_flat`` bit for bit — master weights
+    *and* moment planes — at every world size and bucket size, including
+    buckets that leave ragged shard tails."""
+
+    @pytest.mark.parametrize("world", [1, 2, 3])
+    @pytest.mark.parametrize("bucket", [1, 5, 7, 64, 1 << 20])
+    @pytest.mark.parametrize("mode", ["pipelined", "disk"])
+    def test_matches_serial(self, tmp_path, mode, world, bucket):
+        serial = zero_fixture(3, SMALL, world)
+        other = zero_fixture(3, SMALL, world, mode, tmp_path,
+                             bucket_elements=bucket)
+        try:
+            step_twins([serial, other], steps=3)
+            assert_bitwise_twins(serial[0], other[0])
+        finally:
+            close_all(serial[0], other[0])
+
+    def test_checkpoint_crosses_disk_and_resident(self, tmp_path):
+        """One state representation: moments saved from a disk optimizer
+        load into a resident one (and back) and training continues bit
+        for bit."""
+        def make(mode, name):
+            return zero_fixture(3, SMALL, 2, mode, tmp_path / name,
+                                bucket_elements=5)
+
+        disk, resident = make("disk", "d0"), make("pipelined", "r0")
+        twins = [resident, disk]
+        try:
+            step_twins(twins, steps=2)
+            for (saved, _), mode in ((disk, "pipelined"), (resident, "disk")):
+                fresh = make(mode, f"from-{mode}")
+                twins.append(fresh)
+                fresh[0].arena.flat[...] = saved.arena.flat
+                fresh[0].load_moments(**saved.moment_planes(),
+                                      steps=saved.shard_steps())
+            step_twins(twins, steps=2, seed=1)
+            for other, _ in twins[1:]:
+                assert_bitwise_twins(resident[0], other)
+        finally:
+            close_all(*(opt for opt, _ in twins))
+
+
 class TestPipelinedStep:
-    """The overlapped bucket pipeline must be bitwise identical to the
-    serial zero-copy ``step_flat`` at every world size, bucket size, and
-    worker count — including bucket sizes that leave ragged shard tails."""
-
-    @staticmethod
-    def _filled_flats(opt, rng):
-        flats = []
-        for r in range(opt.world_size):
-            ga = opt.grad_arena(r)
-            for view in ga.views.values():
-                view[...] = rng.standard_normal(view.shape, dtype=np.float32)
-            flats.append(ga.flat)
-        return flats
-
     @pytest.mark.parametrize("world", [1, 2, 4])
     @pytest.mark.parametrize("bucket_elements", [1, 5, 64, 1 << 20])
-    def test_bitwise_matches_serial_step_flat(self, rng, world,
-                                              bucket_elements):
+    def test_bitwise_matches_serial_step_flat(self, world, bucket_elements):
+        """The same identity on a dedicated two-worker pool."""
         from repro.exec.pool import KernelPool
 
-        base = make_params(rng)
-        serial = ZeroShardedAdam(
-            {k: v.copy() for k, v in base.items()}, world
-        )
         pool = KernelPool(2)
+        serial = zero_fixture(4, SMALL, world)
+        pipe = zero_fixture(4, SMALL, world, "pipelined", pool=pool,
+                            bucket_elements=bucket_elements)
         try:
-            pipe = ZeroShardedAdam(
-                {k: v.copy() for k, v in base.items()}, world,
-                pipeline=True, bucket_elements=bucket_elements, pool=pool,
-            )
-            for _ in range(3):
-                flats = self._filled_flats(serial, rng)
-                for r in range(world):
-                    gp = pipe.grad_arena(r)
-                    gp.flat[...] = flats[r]
-                serial.step_flat(flats)
-                pipe.step_flat([pipe.grad_arena(r).flat
-                                for r in range(world)])
-            assert serial.step_count == pipe.step_count
-            np.testing.assert_array_equal(serial.arena.flat, pipe.arena.flat)
-            for r in range(world):
-                s_opt = serial._rank_optimizers[r]
-                p_opt = pipe._rank_optimizers[r]
-                np.testing.assert_array_equal(
-                    s_opt.state["shard"].m, p_opt.state["shard"].m
-                )
-                np.testing.assert_array_equal(
-                    s_opt.state["shard"].v, p_opt.state["shard"].v
-                )
+            step_twins([serial, pipe], steps=3)
+            assert_bitwise_twins(serial[0], pipe[0])
         finally:
-            pipe.release_staging()
+            close_all(pipe[0])
             pool.shutdown()
 
-    def test_payload_accounting_matches_serial(self, rng):
+    def test_payload_accounting_matches_serial(self):
         """The pipeline bypasses the collective entry points but must
         report the same reduce-scatter/all-gather payload bytes."""
         from repro.telemetry import Telemetry
 
-        base = make_params(rng)
         results = {}
-        for name, kwargs in (("serial", {}), ("pipeline", {"pipeline": True})):
+        for mode in ("serial", "pipelined"):
             telemetry = Telemetry()
-            opt = ZeroShardedAdam(
-                {k: v.copy() for k, v in base.items()}, 2,
-                telemetry=telemetry, **kwargs,
-            )
-            opt.step_flat(self._filled_flats(opt, rng))
-            results[name] = {
+            opt, flats = zero_fixture(5, SMALL, 2, mode,
+                                      telemetry=telemetry)
+            opt.step_flat(flats)
+            results[mode] = {
                 op: telemetry.metrics.counter(
                     "collective_bytes_total", op=op
                 ).value
                 for op in ("reduce_scatter", "all_gather")
             }
             opt.release_staging()
-        assert results["serial"] == results["pipeline"]
+        assert results["serial"] == results["pipelined"]
 
-    def test_pinned_staging_reserved_and_released(self, rng):
+    def test_pinned_staging_reserved_and_released(self):
         from repro.tensors import MemoryPool, PinnedBufferPool
 
         host = MemoryPool("cpu:0", 1 << 20)
         pinned = PinnedBufferPool(1 << 20, host_pool=host)
-        opt = ZeroShardedAdam(
-            make_params(rng), 2, pipeline=True, bucket_elements=4,
-            pinned_pool=pinned,
-        )
+        opt, flats = zero_fixture(6, SMALL, 2, "pipelined",
+                                  bucket_elements=4, pinned_pool=pinned)
         for _ in range(3):  # staging is built once, reused per step
-            opt.step_flat(self._filled_flats(opt, rng))
+            opt.step_flat(flats)
         staged = 2 * opt.bucket_elements * 4  # double-buffered fp32
         assert pinned.free_bytes == pinned.capacity - staged
         assert host.used == staged
@@ -223,48 +272,36 @@ class TestPipelinedStep:
         assert pinned.free_bytes == pinned.capacity
         assert host.used == 0
 
-    def test_full_pinned_pool_degrades_to_pageable(self, rng):
+    def test_full_pinned_pool_degrades_to_pageable(self):
         from repro.tensors import PinnedBufferPool
 
         pinned = PinnedBufferPool(1)  # can't fit any staging bucket
-        opt = ZeroShardedAdam(
-            make_params(rng), 2, pipeline=True, bucket_elements=4,
-            pinned_pool=pinned,
-        )
-        opt.step_flat(self._filled_flats(opt, rng))  # must not raise
+        opt, flats = zero_fixture(7, SMALL, 2, "pipelined",
+                                  bucket_elements=4, pinned_pool=pinned)
+        opt.step_flat(flats)  # must not raise
         assert pinned.free_bytes == pinned.capacity
         opt.release_staging()
 
-    def test_pipeline_requires_zero_copy(self, rng):
-        with pytest.raises(ValueError):
-            ZeroShardedAdam(make_params(rng), 2, zero_copy=False,
-                            pipeline=True)
-        with pytest.raises(ValueError):
+    def test_invalid_bucket_elements_rejected(self, rng):
+        with pytest.raises(ValueError, match="bucket_elements"):
             ZeroShardedAdam(make_params(rng), 2, pipeline=True,
                             bucket_elements=0)
 
     def test_bucket_elements_clamped_to_shard(self, rng):
         opt = ZeroShardedAdam(make_params(rng), 2, pipeline=True,
                               bucket_elements=1 << 30)
-        assert opt.bucket_elements == opt.layout.total // 2
+        assert opt.bucket_elements == opt.arena.layout.total // 2
 
     @given(world=st.integers(min_value=1, max_value=4),
            bucket=st.integers(min_value=1, max_value=40))
     @settings(max_examples=15, deadline=None)
     def test_any_bucket_size_bitwise(self, world, bucket):
-        rng = np.random.default_rng(world * 100 + bucket)
-        base = {"w": rng.standard_normal(37).astype(np.float32)}
-        serial = ZeroShardedAdam({"w": base["w"].copy()}, world)
-        pipe = ZeroShardedAdam({"w": base["w"].copy()}, world,
-                               pipeline=True, bucket_elements=bucket)
-        flats = TestPipelinedStep._filled_flats(serial, rng)
-        for r in range(world):
-            gp = pipe.grad_arena(r)
-            gp.flat[...] = flats[r]
-        serial.step_flat(flats)
-        pipe.step_flat([pipe.grad_arena(r).flat for r in range(world)])
-        pipe.release_staging()
-        np.testing.assert_array_equal(serial.arena.flat, pipe.arena.flat)
+        serial = zero_fixture(world * 100 + bucket, {"w": (37,)}, world)
+        pipe = zero_fixture(world * 100 + bucket, {"w": (37,)}, world,
+                            "pipelined", bucket_elements=bucket)
+        step_twins([serial, pipe], steps=1)
+        pipe[0].release_staging()
+        assert_bitwise_twins(serial[0], pipe[0])
 
 
 class TestZeroHypothesis:

@@ -1,42 +1,30 @@
 """Tests for the disk-offloaded ZeRO step (§2.2): bitwise identity with
-the resident step across worker counts, prefetch on/off, checkpointable
-moment planes, and pinned-pool exhaustion under concurrent spill."""
+the resident step across worker counts and with the strict-sequence
+reference step, checkpointable moment planes, and pinned-pool exhaustion
+under concurrent spill."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import reference
 from repro.exec.pool import KernelPool
 from repro.parallel import ZeroShardedAdam
 from repro.tensors.pinned import PinnedBufferPool
+from repro.tensors.spill import SpillArena
+from tests.parallel.test_zero import (
+    assert_bitwise_twins,
+    close_all as _close,
+    zero_fixture,
+)
 
 
 def _fixture(seed, n, world, tmp_path=None, pool=None, **kw):
-    """A (optimizer, flats) pair; disk mode when ``tmp_path`` is given.
-
-    Same seed => identical params and gradients, so a resident and a
-    disk fixture built from the same seed are bitwise comparables.
-    """
-    rng = np.random.default_rng(seed)
-    params = {
-        f"p{i}": rng.standard_normal(n // 4, dtype=np.float32)
-        for i in range(4)
-    }
-    if tmp_path is not None:
-        kw.update(offload="disk", spill_dir=str(tmp_path / "spill"))
-    opt = ZeroShardedAdam(params, world, pipeline=True, pool=pool, **kw)
-    flats = []
-    for r in range(world):
-        ga = opt.grad_arena(r)
-        for view in ga.views.values():
-            view[...] = rng.standard_normal(view.shape, dtype=np.float32)
-        flats.append(ga.flat)
-    return opt, flats
-
-
-def _close(opt):
-    opt.release_staging()
-    opt.close_spill()
+    """A pipelined (optimizer, flats) pair over four ``n // 4`` tensors;
+    disk mode when ``tmp_path`` is given."""
+    shapes = {f"p{i}": (n // 4,) for i in range(4)}
+    mode = "pipelined" if tmp_path is None else "disk"
+    return zero_fixture(seed, shapes, world, mode, tmp_path, pool, **kw)
 
 
 class TestDiskBitwiseIdentity:
@@ -55,24 +43,34 @@ class TestDiskBitwiseIdentity:
             for _ in range(steps):
                 resident.step_flat(r_flats)
                 disk.step_flat(d_flats)
-            assert np.array_equal(resident.arena.flat, disk.arena.flat)
-            assert disk.step_count == resident.step_count == steps
+            assert_bitwise_twins(resident, disk)
+            assert disk.step_count == steps
             _close(disk)
             _close(resident)
         finally:
             pool.shutdown()
 
     def test_prefetch_off_is_bitwise_identical(self, tmp_path):
-        base, b_flats = _fixture(9, 2048, 2, tmp_path / "on",
-                                 bucket_elements=256)
-        sync, s_flats = _fixture(9, 2048, 2, tmp_path / "off",
-                                 bucket_elements=256, spill_prefetch=False)
-        for _ in range(2):
-            base.step_flat(b_flats)
-            sync.step_flat(s_flats)
-        assert np.array_equal(base.arena.flat, sync.arena.flat)
-        _close(base)
-        _close(sync)
+        """The strict-sequence reference step (read, reduce, Adam,
+        write per bucket, nothing overlapped) is the disk step's twin."""
+        disk, flats = _fixture(9, 2048, 2, tmp_path / "on",
+                               bucket_elements=256)
+        total = disk.arena.layout.total
+        master = disk.arena.flat.copy()
+        scratch = np.empty((3, 256), dtype=np.float32)
+        with SpillArena(tmp_path / "off", {"m": total, "v": total}) as sp:
+            for step in (1, 2):
+                disk.step_flat(flats)
+                reference.zero_disk_sync_step(
+                    master, sp, flats, scratch, disk.config, step
+                )
+            assert np.array_equal(disk.arena.flat, master)
+            planes = disk.moment_planes()
+            for name, plane in planes.items():
+                synced = np.empty_like(plane)
+                sp.read(name, 0, total, synced)
+                assert np.array_equal(plane, synced)
+        _close(disk)
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -96,7 +94,7 @@ class TestDiskBitwiseIdentity:
         )
         resident.step_flat(r_flats)
         disk.step_flat(d_flats)
-        assert np.array_equal(resident.arena.flat, disk.arena.flat)
+        assert_bitwise_twins(resident, disk)
         _close(disk)
         _close(resident)
 
@@ -146,7 +144,7 @@ class TestMomentPlanes:
         disk, flats = _fixture(1, 1024, 2, tmp_path, bucket_elements=128)
         disk.step_flat(flats)
         disk.spill.drain()
-        nbytes = disk.layout.total * 4
+        nbytes = disk.arena.layout.total * 4
         # every (m, v) byte is read and written exactly once per step
         assert disk.spill.bytes_read == 2 * nbytes
         assert disk.spill.bytes_written == 2 * nbytes
@@ -207,10 +205,9 @@ class TestDiskValidation:
                 {"p": np.zeros(16, dtype=np.float32)}, 2, offload="nvme"
             )
 
-    def test_disk_requires_zero_copy(self, tmp_path):
-        with pytest.raises(ValueError, match="zero_copy"):
+    def test_prefetch_depth_below_one_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="spill_prefetch_depth"):
             ZeroShardedAdam(
-                {"p": np.zeros(16, dtype=np.float32)}, 2,
-                zero_copy=False, offload="disk",
-                spill_dir=str(tmp_path),
+                {"p": np.zeros(16, dtype=np.float32)}, 2, offload="disk",
+                spill_dir=str(tmp_path), spill_prefetch_depth=0,
             )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import reference
 from repro.optim.adam import AdamConfig
 from repro.optim.implementations import GraceAdam
 from repro.parallel.zero import ZeroShardedAdam
@@ -228,7 +229,7 @@ class TestZeroOnArenaBitwise:
         sharded_params = {k: v.copy() for k, v in init.items()}
         plain_params = {k: v.copy() for k, v in init.items()}
         sharded = ZeroShardedAdam(sharded_params, world)
-        reference = GraceAdam(plain_params, AdamConfig())
+        unsharded = GraceAdam(plain_params, AdamConfig())
         for step in range(n_steps):
             grads = {
                 k: rng.standard_normal(s).astype(np.float32)
@@ -238,10 +239,10 @@ class TestZeroOnArenaBitwise:
             # equals the single-rank gradient
             sharded.step([{k: g.copy() for k, g in grads.items()}
                           for _ in range(world)])
-            reference.step(grads)
+            unsharded.step(grads)
         for k in shapes:
             np.testing.assert_array_equal(
-                sharded.params[k], reference.params[k]
+                sharded.params[k], unsharded.params[k]
             )
 
     def test_dict_copy_and_arena_modes_agree_bitwise(self, rng):
@@ -251,12 +252,11 @@ class TestZeroOnArenaBitwise:
             for k, s in shapes.items()
         }
         arena_mode = ZeroShardedAdam(
-            {k: v.copy() for k, v in init.items()}, 3, zero_copy=True
+            {k: v.copy() for k, v in init.items()}, 3
         )
-        dict_mode = ZeroShardedAdam(
-            {k: v.copy() for k, v in init.items()}, 3, zero_copy=False
-        )
-        for _ in range(3):
+        dict_params = {k: v.copy() for k, v in init.items()}
+        layout, shards = reference.zero_dict_copy_shards(dict_params, 3)
+        for step in (1, 2, 3):
             grads = {
                 k: rng.standard_normal(s).astype(np.float32)
                 for k, s in shapes.items()
@@ -265,9 +265,12 @@ class TestZeroOnArenaBitwise:
                 {k: g.copy() for k, g in grads.items()} for _ in range(3)
             ]
             arena_mode.step(per_rank)
-            dict_mode.step([{k: g.copy() for k, g in grads.items()}
-                            for _ in range(3)])
+            reference.zero_dict_copy_step(
+                dict_params, layout, shards,
+                [{k: g.copy() for k, g in grads.items()} for _ in range(3)],
+                arena_mode.config, step,
+            )
         for k in shapes:
             np.testing.assert_array_equal(
-                arena_mode.params[k], dict_mode.params[k]
+                arena_mode.params[k], dict_params[k]
             )

@@ -142,12 +142,15 @@ def test_every_op_bitwise_under_sampled_config(pool, prof, size, seed):
 
 @pytest.mark.parametrize("tile", registry.get("grace.tile_size").choices)
 def test_grace_tile_bitwise(tile):
-    """Any tuned GraceAdam tile produces the same parameters."""
+    """Any tuned GraceAdam tile produces the same parameters on the
+    per-tensor tiled walk (what a subset-gradient step takes — the only
+    consumer of the tile)."""
     n = 5000  # crosses the smallest tile candidates, leaves a tail
     results = {}
     for candidate in (None, tile):
         rng = np.random.default_rng(17)
-        params = {"w": rng.standard_normal(n).astype(np.float32)}
+        params = {"w": rng.standard_normal(n).astype(np.float32),
+                  "rest": np.zeros(3, dtype=np.float32)}
         prof = tp.TuneProfile(host="h", cpu_count=1)
         if candidate is not None:
             prof.set("grace.tile_size", candidate)
@@ -155,7 +158,7 @@ def test_grace_tile_bitwise(tile):
         else:
             cm = runtime.overridden(None)
         with cm:
-            opt = GraceAdam(params, AdamConfig(lr=1e-2), chunked=False)
+            opt = GraceAdam(params, AdamConfig(lr=1e-2))
             for _ in range(3):
                 opt.step({"w": rng.standard_normal(n).astype(np.float32)})
         results[candidate] = opt.params["w"].copy()
