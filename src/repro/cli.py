@@ -545,13 +545,16 @@ def _cmd_profile(args: argparse.Namespace) -> None:
             ContinuousBatchingScheduler(
                 engine, registry, max_batch=4
             ).run_until_done()
-    kv_evicted = int(
-        serve_profiler.telemetry.metrics.counter("kv_pages_evicted").value
+    kv_evicted, kv_written, kv_waits = (
+        int(serve_profiler.telemetry.metrics.counter(name).value)
+        for name in ("kv_pages_evicted", "kv_pages_written",
+                     "kv_readahead_waits")
     )
     serve_report = serve_profiler.report()
     print_table(
         f"repro profile — serving decode step phases "
-        f"({n_sessions} sessions, {kv_evicted} pages evicted)",
+        f"({n_sessions} sessions, {kv_evicted} pages evicted, "
+        f"{kv_written} written, {kv_waits} read-ahead waits)",
         PHASE_HEADERS, phase_rows(serve_report),
     )
 
@@ -658,6 +661,8 @@ def _cmd_profile(args: argparse.Namespace) -> None:
         "spill_sim_comparison": spill_sim,
         "serving_phase_seconds": serve_report.phase_totals,
         "kv_pages_evicted": kv_evicted,
+        "kv_pages_written": kv_written,
+        "kv_readahead_waits": kv_waits,
         "pp_phase_seconds": pp_report.phase_totals,
         "pipeline_bubble": {
             "plan": pp_plan.describe(),

@@ -10,14 +10,30 @@ one (shape, dtype) key, so retired sessions' pages are recycled into new
 sessions via the workspace free list and steady-state serving performs
 zero allocations once the page pool is warm.
 
-Capacity is a hard page budget (``max_pages``).  Under pressure the
-least-recently-touched resident page is evicted: with a
-:class:`~repro.tensors.spill.SpillArena` backing tier attached the page's
-bytes survive to disk and are transparently restored on next touch
-(``kv_pages_evicted`` / ``kv_pages_restored`` counters,
-``kv_bytes_resident`` gauge); without one, eviction would lose live
-context, so the cache refuses admission instead
-(:class:`KVCacheFull` — the scheduler's backpressure signal).
+Capacity is a hard page budget (``max_pages``).  Without a backing tier
+eviction would lose live context, so the cache refuses admission instead
+(:class:`KVCacheFull` — the scheduler's backpressure signal).  With a
+:class:`~repro.tensors.spill.SpillArena` attached, pages spill to disk
+under a residency policy built for what decode does: every step sweeps
+every live (session, layer) run once, in the same order — a cyclic scan,
+on which LRU evicts exactly the page needed soonest and hits ~never.
+
+* **Furthest next use.**  The page just swept is the one needed latest,
+  so victims come from the most recently swept end (Belady on a cycle:
+  hits ~(budget - runs in transit)/working set), never a pinned page or
+  one with a read in flight.
+* **Clean evictions are free.**  A restored page keeps its spill slot
+  and only ``append`` dirties a page, so evicting a clean page drops the
+  buffer without a write, and clean victims are taken before dirty ones.
+* **Vectored read-ahead.**  While run *k* is attended, the spilled pages
+  of the run that followed it last step are restored by one read-stream
+  request into buffers from the same budget; the consumer waits on its
+  ticket only if the read is still in flight.
+
+Instruments: ``kv_pages_evicted`` / ``kv_pages_restored`` (a page left /
+re-entered the resident set), ``kv_pages_written`` (evictions that cost
+a write), ``kv_readahead_waits`` (consumer blocked on a read-ahead), the
+``kv_bytes_resident`` gauge, ``kv_evict`` / ``kv_restore`` spans.
 
 :func:`paged_attention` is the decode-side consumer: an online-softmax
 sweep over a session's page list (the same running max/sum rescaling as
@@ -28,6 +44,7 @@ contiguous — or even fully resident until touched.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -52,28 +69,30 @@ class KVCacheFull(RuntimeError):
 
 @dataclass(eq=False)
 class _Page:
-    """One fixed-size KV page (identity-hashed; lives in the LRU)."""
+    """One fixed-size KV page (identity-hashed; lives in the sweep order)."""
 
     session: int
     layer: int
     index: int                        # ordinal within the (session, layer) run
     buf: Optional[np.ndarray] = None  # (2, heads, page_tokens, head_dim)
-    slot: Optional[int] = None        # spill slot while evicted
+    slot: Optional[int] = None        # spill slot; a restored page keeps it
+    dirty: bool = False               # buf differs from the slot's bytes
     pinned: bool = field(default=False, repr=False)
-
-    @property
-    def resident(self) -> bool:
-        return self.buf is not None
+    #: Read-ahead into ``buf`` not yet landed: ``(ticket, pages it fills)``.
+    pending: Optional[tuple] = field(default=None, repr=False)
 
 
 class PagedKVCache:
-    """Fixed-page KV storage with LRU eviction and optional disk spill.
+    """Fixed-page KV storage with sweep-aware residency (furthest next
+    use, clean before dirty, vectored read-ahead — see the module
+    docstring) and optional disk spill.
 
     Args:
         n_layers, n_heads, head_dim: attention geometry of the model.
         page_tokens: tokens per page; defaults to the tuned
             ``kv.page_tokens``.
-        max_pages: resident page budget (``None`` = unbounded).
+        max_pages: resident page budget (``None`` = unbounded); buffers
+            a read-ahead is still filling count against it.
         workspace: page allocator; a private one is created if omitted.
             The cache owns its pages across steps, so **never** call
             ``new_step()`` on this workspace — pages are returned only
@@ -81,7 +100,9 @@ class PagedKVCache:
         spill: optional spill backing.  Pass a directory path to let the
             cache build its own arena, sized ``spill_pages`` pages.
         spill_pages: spill-tier capacity in pages (default: 4x
-            ``max_pages``; required if ``max_pages`` is None).
+            ``max_pages``; required if ``max_pages`` is None).  The
+            cache holds ``max_pages`` resident plus ``spill_pages``
+            spilled pages before it raises :class:`KVCacheFull`.
         telemetry: sink for the eviction counters and residency gauge.
     """
 
@@ -114,8 +135,11 @@ class PagedKVCache:
         self._pages: Dict[Tuple[int, int], List[_Page]] = {}
         self._tokens: Dict[Tuple[int, int], int] = {}  # per (session, layer)
         self._live: Dict[int, None] = {}    # session registry, FIFO order
-        self._lru: Dict[_Page, None] = {}   # insertion-ordered: LRU first
-        self._resident = 0
+        #: Runs by last visit, oldest first: on a repeating sweep the
+        #: first key is the run due next.
+        self._order: Dict[Tuple[int, int], None] = {}
+        #: Every page holding a buffer, soonest next use first.
+        self._mru: "OrderedDict[_Page, None]" = OrderedDict()
         self._arena: Optional[SpillArena] = None
         self._free_slots: List[int] = []
         if spill is not None:
@@ -135,11 +159,11 @@ class PagedKVCache:
 
     @property
     def resident_pages(self) -> int:
-        return self._resident
+        return len(self._mru)
 
     @property
     def resident_bytes(self) -> int:
-        return self._resident * self._page_bytes
+        return len(self._mru) * self._page_bytes
 
     def sessions(self) -> Tuple[int, ...]:
         return tuple(self._live)
@@ -174,68 +198,180 @@ class PagedKVCache:
         return held + self.pages_for(tokens) * self.n_layers \
             <= self.max_pages
 
-    def _touch(self, page: _Page) -> None:
-        self._lru.pop(page, None)
-        self._lru[page] = None
-
     def _gauge(self) -> None:
         self.telemetry.metrics.gauge("kv_bytes_resident").set(
             self.resident_bytes
         )
 
+    def _span(self, name: str):
+        return self.telemetry.tracer.span(name, category="kvcache")
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        self.telemetry.metrics.counter(name).inc(amount)
+
+    def _segment(self, page: _Page) -> Tuple[int, int, np.ndarray]:
+        lo = page.slot * self._page_elems
+        return lo, lo + self._page_elems, page.buf.reshape(-1)
+
     # -- eviction / restore ---------------------------------------------
 
-    def _evict_one(self) -> None:
-        victim = next(
-            (p for p in self._lru if p.resident and not p.pinned), None
-        )
-        if victim is None:
-            raise KVCacheFull(
-                f"all {self._resident} resident pages are pinned"
-            )
+    def _attach_buf(self, page: _Page, keep: tuple = ()) -> bool:
+        """Give ``page`` a buffer out of the budget, evicting as needed.
+
+        ``keep`` marks a read-ahead: it names the runs needed no later
+        than ``page``, and the call returns False rather than evict from
+        them or wait on another read.
+        """
+        while self.max_pages is not None \
+                and len(self._mru) >= self.max_pages:
+            if not self._evict_one(keep):
+                return False
+        page.buf = self.workspace.take(self._page_shape, np.float32)
+        # Wanted now or next: the last to be chosen as a victim, until
+        # a sweep passes it.
+        self._mru[page] = None
+        self._mru.move_to_end(page, last=False)
+        self._gauge()
+        return True
+
+    def _drop_buf(self, page: _Page) -> None:
+        del self._mru[page]
+        self.workspace.give(page.buf)
+        page.buf = None
+        self._gauge()
+
+    def _evict_one(self, keep: tuple = ()) -> bool:
+        victim = dirty = landing = None
+        for page in reversed(self._mru):  # furthest next use first
+            if page.pinned or \
+                    (keep and (page.session, page.layer) in keep):
+                continue
+            if page.pending is not None:
+                landing = landing or page
+            elif not page.dirty:
+                victim = page
+                break
+            else:
+                dirty = dirty or page
+        if victim is None and dirty is None:
+            if keep:
+                return False
+            if landing is None:
+                raise KVCacheFull(
+                    f"all {len(self._mru)} resident pages are pinned"
+                )
+            # Only unconsumed read-ahead is left to take from: land it.
+            # A failed read has already handed its buffers back.
+            if self._settle(landing.pending) is not None:
+                return True
+            victim = landing
+        victim = victim or dirty
+        if keep and victim.slot is None and not self._free_slots:
+            return False  # a read-ahead does not dig for a slot
         if self._arena is None:
             raise KVCacheFull(
                 f"page budget {self.max_pages} exhausted and no spill "
-                "tier attached (admission control should gate on "
-                "can_admit)"
+                "tier attached (admission should gate on can_admit)"
             )
-        if not self._free_slots:
-            raise KVCacheFull("spill tier is out of slots")
-        with self.telemetry.tracer.span("kv_evict", category="kvcache"):
-            slot = self._free_slots.pop()
-            lo = slot * self._page_elems
-            self._arena.write(
-                "kv", lo, lo + self._page_elems, victim.buf.reshape(-1)
-            )
-            victim.slot = slot
-            self.workspace.give(victim.buf)
-            victim.buf = None
-            self._resident -= 1
-        self.telemetry.metrics.counter("kv_pages_evicted").inc()
-        self._gauge()
+        with self._span("kv_evict"):
+            if victim.dirty:
+                if victim.slot is None:
+                    victim.slot = self._take_slot()
+                self._arena.write("kv", *self._segment(victim))
+                victim.dirty = False
+                self._count("kv_pages_written")
+            self._drop_buf(victim)
+        self._count("kv_pages_evicted")
+        return True
 
-    def _take_page_buf(self) -> np.ndarray:
-        if self.max_pages is not None:
-            while self._resident >= self.max_pages:
-                self._evict_one()
-        buf = self.workspace.take(self._page_shape, np.float32)
-        self._resident += 1
-        self._gauge()
-        return buf
+    def _take_slot(self) -> int:
+        if self._free_slots:
+            return self._free_slots.pop()
+        # Resident pages keep the slot they were restored from, so the
+        # tier can be out of free slots while holding copies nobody
+        # needs: take one back; its page must then be written if evicted.
+        for page in list(self._mru):
+            if page.pending is not None:
+                self._settle(page.pending)
+            if page.buf is not None and page.slot is not None:
+                slot, page.slot, page.dirty = page.slot, None, True
+                return slot
+        raise KVCacheFull("spill tier is out of slots")
+
+    def _visit(self, key: Tuple[int, int]) -> None:
+        """Note that run ``key`` is being swept and read ahead the run
+        that followed it last time round: all its spilled pages in one
+        read-stream request, into buffers from the same budget."""
+        self._order.pop(key, None)
+        self._order[key] = None
+        ahead = next(iter(self._order))
+        if ahead == key or self._arena is None:
+            return
+        pages = []
+        try:
+            for page in self._pages[ahead]:
+                if page.buf is None:
+                    if not self._attach_buf(page, keep=(ahead, key)):
+                        break
+                    pages.append(page)
+        finally:  # a failed eviction write must not strand taken buffers
+            if pages:
+                group = (self._arena.read_many_async(
+                    "kv", [self._segment(p) for p in pages]), pages)
+                for page in pages:
+                    page.pending = group
+
+    def _settle(self, group: tuple) -> Optional[Exception]:
+        """Land a read-ahead, waiting for it if it is not done.
+
+        On failure the buffers go back to the workspace and the pages
+        stay spilled with their slots.  The error is returned: the
+        consumer raises it; release and eviction, which do not need the
+        bytes, drop it.
+        """
+        ticket, pages = group
+        error = None
+        if not ticket.done:
+            self._count("kv_readahead_waits")
+        try:
+            with self._span("kv_restore"):
+                ticket.wait()
+        except Exception as exc:
+            error = exc
+        for page in pages:
+            page.pending = None
+            if error is not None:
+                self._drop_buf(page)
+        if error is None:
+            self._count("kv_pages_restored", len(pages))
+        return error
 
     def _ensure_resident(self, page: _Page) -> None:
-        self._touch(page)
-        if page.resident:
-            return
-        with self.telemetry.tracer.span("kv_restore", category="kvcache"):
-            buf = self._take_page_buf()
-            lo = page.slot * self._page_elems
-            self._arena.read("kv", lo, lo + self._page_elems,
-                             buf.reshape(-1))
+        if page.pending is not None:
+            error = self._settle(page.pending)
+            if error is not None:
+                raise error
+        if page.buf is None:
+            with self._span("kv_restore"):
+                self._attach_buf(page)
+                try:
+                    self._arena.read("kv", *self._segment(page))
+                except BaseException:
+                    self._drop_buf(page)
+                    raise
+            self._count("kv_pages_restored")
+
+    def _retire(self, page: _Page) -> None:
+        """Recycle a page's buffer and slot (its run is going away)."""
+        if page.pending is not None:
+            # The reader may still be filling the buffer: wait it out
+            # before the workspace hands the buffer to someone else.
+            self._settle(page.pending)
+        if page.buf is not None:
+            self._drop_buf(page)
+        if page.slot is not None:
             self._free_slots.append(page.slot)
             page.slot = None
-            page.buf = buf
-        self.telemetry.metrics.counter("kv_pages_restored").inc()
 
     # -- append / view ---------------------------------------------------
 
@@ -251,8 +387,10 @@ class PagedKVCache:
         if k.shape != v.shape or k.shape[0] != self.n_heads \
                 or k.shape[2] != self.head_dim:
             raise ValueError(f"bad KV shape {k.shape}")
-        run = self._pages.setdefault((session, layer), [])
-        done = self._tokens.get((session, layer), 0)
+        key = (session, layer)
+        run = self._pages.setdefault(key, [])
+        self._visit(key)
+        done = self._tokens.get(key, 0)
         t = k.shape[1]
         try:
             pos = 0
@@ -266,8 +404,7 @@ class PagedKVCache:
                 page.pinned = True
                 try:
                     if page.buf is None and page.slot is None:
-                        page.buf = self._take_page_buf()
-                        self._touch(page)
+                        self._attach_buf(page)
                     else:
                         self._ensure_resident(page)
                     step = min(self.page_tokens - offset, t - pos)
@@ -275,28 +412,21 @@ class PagedKVCache:
                         k[:, pos:pos + step]
                     page.buf[1, :, offset:offset + step] = \
                         v[:, pos:pos + step]
+                    page.dirty = True
                     pos += step
                 finally:
                     page.pinned = False
-        except KVCacheFull:
+        except BaseException:
             # Roll back pages this append allocated so a rejected
-            # admission leaves no footprint behind.
+            # admission (or a failed restore) leaves no footprint behind.
             keep = self.pages_for(done)
             for page in run[keep:]:
-                self._lru.pop(page, None)
-                if page.resident:
-                    self.workspace.give(page.buf)
-                    page.buf = None
-                    self._resident -= 1
-                elif page.slot is not None:
-                    self._free_slots.append(page.slot)
-                    page.slot = None
+                self._retire(page)
             del run[keep:]
             if not run:
-                self._pages.pop((session, layer), None)
-            self._gauge()
+                del self._pages[key], self._order[key]
             raise
-        self._tokens[(session, layer)] = done + t
+        self._tokens[key] = done + t
         self._live.setdefault(session, None)
 
     def view(
@@ -308,7 +438,10 @@ class PagedKVCache:
         valid until the next operation that can evict (append on a full
         cache, another view).
         """
-        run = self._pages.get((session, layer), [])
+        run = self._pages.get((session, layer))
+        if not run:
+            return []
+        self._visit((session, layer))
         total = self._tokens.get((session, layer), 0)
         out: List[Tuple[np.ndarray, np.ndarray]] = []
         for page in run:
@@ -322,6 +455,7 @@ class PagedKVCache:
                 if valid <= 0:
                     continue
                 self._ensure_resident(page)
+                self._mru.move_to_end(page)
                 out.append(
                     (page.buf[0, :, :valid], page.buf[1, :, :valid])
                 )
@@ -337,9 +471,13 @@ class PagedKVCache:
         resident — earlier pages may be evicted as the sweep advances —
         so a history larger than the resident budget can still be
         attended (the online-softmax consumer reads each page exactly
-        once, in order).
+        once, in order).  A failed restore raises here, leaves the page
+        spilled, and can be retried.
         """
-        run = self._pages.get((session, layer), [])
+        run = self._pages.get((session, layer))
+        if not run:
+            return
+        self._visit((session, layer))
         total = self._tokens.get((session, layer), 0)
         for page in run:
             valid = min(
@@ -350,6 +488,7 @@ class PagedKVCache:
             page.pinned = True
             try:
                 self._ensure_resident(page)
+                self._mru.move_to_end(page)  # swept: needed last
                 yield (page.buf[0, :, :valid], page.buf[1, :, :valid])
             finally:
                 page.pinned = False
@@ -357,19 +496,12 @@ class PagedKVCache:
     def release(self, session: int) -> None:
         """Retire a session: recycle its pages and spill slots."""
         for layer in range(self.n_layers):
-            run = self._pages.pop((session, layer), [])
-            for page in run:
-                self._lru.pop(page, None)
-                if page.resident:
-                    self.workspace.give(page.buf)
-                    page.buf = None
-                    self._resident -= 1
-                elif page.slot is not None:
-                    self._free_slots.append(page.slot)
-                    page.slot = None
-            self._tokens.pop((session, layer), None)
+            key = (session, layer)
+            for page in self._pages.pop(key, []):
+                self._retire(page)
+            self._tokens.pop(key, None)
+            self._order.pop(key, None)
         self._live.pop(session, None)
-        self._gauge()
 
     def close(self) -> None:
         if self._arena is not None:
@@ -413,14 +545,13 @@ def paged_attention(
     l = np.zeros((heads, tq), dtype=np.float32)
     acc = np.zeros((heads, tq, d), dtype=np.float32)
     base = 0
-    rows = past_len + np.arange(tq, dtype=np.int64)[:, None]
     for k, v in pages:
         pt = k.shape[1]
         s = np.matmul(q, k.transpose(0, 2, 1)) * scale
-        cols = base + np.arange(pt, dtype=np.int64)[None, :]
-        masked = cols > rows
-        if masked.any():
-            s = np.where(masked[None, :, :], fill, s)
+        if base + pt - 1 > past_len:  # else no column is ahead of row 0
+            rows = past_len + np.arange(tq, dtype=np.int64)[:, None]
+            cols = base + np.arange(pt, dtype=np.int64)[None, :]
+            s = np.where((cols > rows)[None, :, :], fill, s)
         block_max = s.max(axis=-1)
         m_new = np.maximum(m, block_max)
         alpha = np.exp(m - m_new)

@@ -59,7 +59,7 @@ import queue
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -296,6 +296,22 @@ class SpillArena:
             q=self._read_queue,
         )
 
+    def read_many_async(
+        self, name: str, segments: Sequence[Tuple[int, int, np.ndarray]]
+    ) -> SpillTicket:
+        """Read several ``(lo, hi, out)`` ranges of plane ``name`` as one
+        read-stream request: one queue hand-off and one ticket for the
+        lot, completed after the last segment lands.  A failure leaves
+        every destination undefined.  Same buffer-stability and
+        cross-stream ordering rules as :meth:`read_async`.
+        """
+        for lo, hi, out in segments:
+            self._check(name, lo, hi, out, writable=True)
+        return self._submit(
+            ("readv", name, [(lo, out[: hi - lo]) for lo, hi, out in segments]),
+            op="read", q=self._read_queue,
+        )
+
     def write_async(
         self, name: str, lo: int, hi: int, src: np.ndarray
     ) -> SpillTicket:
@@ -422,6 +438,9 @@ class SpillArena:
             try:
                 if kind == "read":
                     self._do_read(*item[1:-1], staging_slot)
+                elif kind == "readv":
+                    for lo, out in item[2]:
+                        self._do_read(item[1], lo, out, staging_slot)
                 elif kind == "write":
                     self._do_write(*item[1:-1], staging_slot)
                 else:

@@ -98,6 +98,46 @@ class TestAsyncStreams:
             sp.read_async("m", 0, 4096, out).wait()
             assert np.array_equal(out, src)
 
+    def test_read_many_is_one_request(self, tmp_path, rng):
+        """Scattered segments, one ticket; a bad segment rejects the
+        whole request before anything is queued."""
+        telemetry = Telemetry()
+        with _arena(tmp_path, telemetry=telemetry) as sp:
+            src = rng.standard_normal(4096).astype(np.float32)
+            sp.write("m", 0, 4096, src)
+            spans = [(3000, 3100), (5, 900), (1024, 2048)]
+            outs = [np.empty(hi - lo, dtype=np.float32) for lo, hi in spans]
+            ticket = sp.read_many_async(
+                "m", [(lo, hi, out) for (lo, hi), out in zip(spans, outs)])
+            ticket.wait()
+            for (lo, hi), out in zip(spans, outs):
+                assert np.array_equal(out, src[lo:hi])
+            read = telemetry.metrics.counter("spill_bytes_read").value
+            assert read == 4 * sum(hi - lo for lo, hi in spans)
+            with pytest.raises(TensorValidationError):
+                sp.read_many_async("m", [(0, 8, outs[0]), (4090, 4100, outs[1])])
+
+    def test_read_many_failure_surfaces_at_wait(self, tmp_path):
+        with _arena(tmp_path) as sp:
+            real, calls = sp._pread_exact, []
+
+            def flaky(fd, stage, at, name):
+                calls.append(at)
+                if len(calls) == 2:
+                    raise OSError("injected")
+                real(fd, stage, at, name)
+
+            sp._pread_exact = flaky
+            outs = [np.empty(16, dtype=np.float32) for _ in range(3)]
+            ticket = sp.read_many_async(
+                "m", [(i * 16, i * 16 + 16, out)
+                      for i, out in enumerate(outs)])
+            with pytest.raises(OSError, match="injected"):
+                ticket.wait()
+            assert len(calls) == 2  # the request stops at the failure
+            del sp._pread_exact
+            sp.read("m", 0, 16, outs[0])  # the reader survives it
+
     def test_wait_all_clears(self, tmp_path, rng):
         with _arena(tmp_path) as sp:
             src = rng.standard_normal(4096).astype(np.float32)

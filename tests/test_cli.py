@@ -133,6 +133,9 @@ def test_profile_quick(tmp_path, capsys):
     assert profile["dp_phase_seconds"]["backward"] > 0
     assert profile["memory_highwater_bytes"]["workspace"] > 0
     assert profile["sim_comparison"]
+    assert 0 <= profile["kv_pages_written"] <= profile["kv_pages_evicted"]
+    assert profile["kv_readahead_waits"] >= 0
+    assert "read-ahead waits" in out
 
     from repro.telemetry.export import validate_chrome_trace
     document = json.loads((tmp_path / "trace.json").read_text())
