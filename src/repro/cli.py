@@ -830,6 +830,7 @@ def _geomean_line(section: str, rows: List[dict]) -> str:
 #: (the optimized contestant) — the A/B column of ``bench --tuned``.
 _BENCH_TUNED_KEY = {
     "zero_step": "arena_ms",
+    "dp_step": "fused_ms",
     "rollback": "arena_ms",
     "parallel_step": "parallel_ms",
     "zero_pipeline": "pipeline_ms",
@@ -972,6 +973,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
              for r in result["zero_step"]],
         )
         summaries.append(_geomean_line("zero_step", result["zero_step"]))
+    if "dp_step" in result:
+        print_table(
+            "repro bench — data-parallel trainer step: fused gradient "
+            f"path vs unfused reference (world {result['world_size']}, "
+            f"{result['workers']} workers)",
+            ["elements", "reference (ms)", "fused (ms)", "speedup",
+             "cv ref/fused", "copies ref/fused", "tol"] + extra_headers(),
+            [[f"{r['elements']:,}", r["reference_ms"], r["fused_ms"],
+              f"{r['speedup']:.2f}x",
+              f"{r['reference_cv']:.3f}/{r['fused_cv']:.3f}",
+              f"{r['reference_copies_per_step']:g}/"
+              f"{r['fused_copies_per_step']:g}",
+              "ok" if r["tolerance_ok"] else "FAIL"]
+             + extra_values("dp_step", r)
+             for r in result["dp_step"]],
+        )
+        summaries.append(_geomean_line("dp_step", result["dp_step"]))
     if "rollback" in result:
         print_table(
             "repro bench — STV bucket snapshot capture+restore",
@@ -1166,8 +1184,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     warned = False
     warn_rows = [
         (section, r)
-        for section in ("zero_step", "rollback", "parallel_step",
-                        "zero_pipeline", "attention", "model_step",
+        for section in ("zero_step", "dp_step", "rollback",
+                        "parallel_step", "zero_pipeline", "attention",
+                        "model_step",
                         "spill", "checkpoint")
         for r in result.get(section, [])
     ] + [

@@ -238,6 +238,51 @@ def reduce_chunk(
         np.divide(out, divisor, out=out)
 
 
+def sumsq_chunk(lo: int, hi: int, buf: np.ndarray) -> float:
+    """float64 sum of squares of the fp32 range ``buf[lo:hi]``.
+
+    The gradient health check's norm term, computed while the range is
+    still cache-hot from the kernel that wrote it.  Every fp32 square is
+    exact in float64 and the tile sums are numpy's pairwise reduction,
+    so the value depends only on the bits and the range — never on
+    which thread ran it.  A float64 sum of fp32 squares cannot overflow
+    from finite inputs (``3.4e38**2 * n`` is far below ``1.8e308``), so
+    the result is non-finite iff some element is: one pass answers both
+    of the check's questions.
+    """
+    sq = getattr(_scratch, "sq64", None)
+    if sq is None:
+        sq = _scratch.sq64 = np.empty(CACHE_TILE, dtype=np.float64)
+    total = 0.0
+    for tlo in range(lo, hi, CACHE_TILE):
+        tile = buf[tlo:min(hi, tlo + CACHE_TILE)]
+        c = sq[: tile.size]
+        np.square(tile, out=c, dtype=np.float64)
+        total += float(np.add.reduce(c))
+    return total
+
+
+def reduce_sumsq_chunk(
+    lo: int,
+    hi: int,
+    dst: np.ndarray,
+    dst_base: int,
+    sources,
+    divisor: np.float32 | None = None,
+) -> float:
+    """:func:`reduce_chunk`, returning :func:`sumsq_chunk` of what it
+    wrote — the validated reduce-scatter's bucket kernel.
+
+    Non-finite inputs are the case the caller is checking for, so the
+    fold runs with the overflow/invalid warnings off (``inf - inf`` and
+    a finite sum overflowing fp32 both surface as a non-finite return
+    value instead).
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        reduce_chunk(lo, hi, dst, dst_base, sources, divisor)
+    return sumsq_chunk(lo - dst_base, hi - dst_base, dst)
+
+
 # -- fused int8 dequant-matmul ---------------------------------------------
 
 #: Authored default of the qmatmul output-column tile width; the live

@@ -12,9 +12,13 @@ buffers via ``out=`` variants whose operation order matches the plain
 expressions bit for bit (additions/multiplications reordered only across
 commutations and exact power-of-two scalings), so routing a model through
 a workspace changes *where* the bytes live, not what they hold.
-Parameter gradients (``dw``/``db``/``dg``/``dtable``) are always freshly
-allocated: they outlive the step (accumulated across micro-batches and
-ranks), which workspace buffers must not.
+Parameter gradients (``dw``/``db``/``dg``/``dtable``) never land in the
+workspace: they outlive the step (accumulated across micro-batches and
+ranks), which workspace buffers must not.  They are freshly allocated
+unless the caller hands each backward its destination (``dw_out`` /
+``db_out`` / ``dg_out`` / ``out`` — in practice views of a persistent
+gradient arena), in which case the same BLAS call and the same reduction
+write there directly: same bits, no allocation and no later copy.
 """
 
 from __future__ import annotations
@@ -112,13 +116,17 @@ class Dense:
 
     @staticmethod
     def backward(
-        dy: np.ndarray, cache: Cache, ws: Workspace = None
+        dy: np.ndarray,
+        cache: Cache,
+        ws: Workspace = None,
+        dw_out: Optional[np.ndarray] = None,
+        db_out: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         x, w = cache
         flat_x = x.reshape(-1, x.shape[-1])
         flat_dy = dy.reshape(-1, dy.shape[-1])
-        dw = flat_x.T @ flat_dy
-        db = flat_dy.sum(axis=0)
+        dw = np.matmul(flat_x.T, flat_dy, out=dw_out)
+        db = flat_dy.sum(axis=0, out=db_out)
         if ws is None:
             dx = dy @ w.T
         else:
@@ -162,12 +170,16 @@ class LayerNorm:
 
     @staticmethod
     def backward(
-        dy: np.ndarray, cache: Cache, ws: Workspace = None
+        dy: np.ndarray,
+        cache: Cache,
+        ws: Workspace = None,
+        dg_out: Optional[np.ndarray] = None,
+        db_out: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         xhat, inv, g = cache
         n = xhat.shape[-1]
-        dg = (dy * xhat).reshape(-1, n).sum(axis=0)
-        db = dy.reshape(-1, n).sum(axis=0)
+        dg = (dy * xhat).reshape(-1, n).sum(axis=0, out=dg_out)
+        db = dy.reshape(-1, n).sum(axis=0, out=db_out)
         if ws is None:
             dxhat = dy * g
             dx = inv * (
@@ -213,9 +225,17 @@ class Embedding:
         return out, (ids, table.shape)
 
     @staticmethod
-    def backward(dy: np.ndarray, cache: Cache) -> np.ndarray:
+    def backward(
+        dy: np.ndarray, cache: Cache, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         ids, shape = cache
-        dtable = np.zeros(shape, dtype=dy.dtype)
+        if out is None:
+            dtable = np.zeros(shape, dtype=dy.dtype)
+        else:
+            # zero-then-accumulate: rows no token touched must not keep
+            # the previous step's gradient
+            dtable = out
+            dtable[...] = 0
         np.add.at(dtable, ids.reshape(-1), dy.reshape(-1, dy.shape[-1]))
         return dtable
 

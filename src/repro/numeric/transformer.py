@@ -12,8 +12,11 @@ activation, backward temporary, and attention cache is served from
 reused shape-keyed buffers (zero workspace allocations after the first
 step), and ``attn_backend="streaming"`` routes attention through the
 blocked online-softmax kernel (:mod:`repro.numeric.flash`) that never
-materializes the ``S x S`` score matrix.  Parameter *gradients* are
-always freshly allocated — they outlive the step.
+materializes the ``S x S`` score matrix.  Parameter *gradients* never
+live in the workspace — they outlive the step: they are freshly
+allocated, or written straight into caller-owned buffers when
+``loss_and_grads(..., grads_out=)`` names them (the data-parallel
+trainer passes each rank's gradient-arena views).
 
 Workspace lifetime contract: each ``forward`` recycles the previous
 step's buffers, so a workspace-backed model must pair every ``forward``
@@ -320,6 +323,7 @@ class TinyTransformer:
         targets: np.ndarray,
         params: Params | None = None,
         loss_scale: float = 1.0,
+        grads_out: Params | None = None,
     ) -> Tuple[float, Params]:
         """Full forward + backward.
 
@@ -329,6 +333,8 @@ class TinyTransformer:
             params: parameter set (defaults to the master copy).
             loss_scale: multiplier applied to the loss before backward —
                 the mixed-precision loss-scaling hook.
+            grads_out: optional destination buffers keyed like the
+                parameters (see :meth:`backward`).
 
         Returns:
             (unscaled loss, gradients keyed like the parameters; gradients
@@ -341,27 +347,40 @@ class TinyTransformer:
         if loss_scale != 1.0:
             dlogits *= np.float32(loss_scale)
         with tracer.span("backward", category="compute"):
-            grads = self.backward(dlogits, caches)
+            grads = self.backward(dlogits, caches, grads_out)
         return loss, grads
 
-    def backward(self, dlogits: np.ndarray, caches: List) -> Params:
+    def backward(
+        self,
+        dlogits: np.ndarray,
+        caches: List,
+        grads_out: Params | None = None,
+    ) -> Params:
         """Backpropagate from logits gradient to parameter gradients.
 
         Parameter gradients are freshly allocated (they outlive the
-        step); the activation-gradient chain runs through the workspace
-        when one is attached, ping-ponging a handful of buffers across
-        layers.
+        step) unless ``grads_out`` supplies a C-contiguous fp32 buffer
+        per parameter — e.g. a gradient arena's views.  Then every
+        element of every buffer is overwritten by the same BLAS calls
+        and reductions (bitwise equal to the fresh-allocation path) and
+        ``grads_out`` itself is returned.  The activation-gradient chain
+        runs through the workspace when one is attached, ping-ponging a
+        handful of buffers across layers.
         """
         ws = self.workspace
         grads: Params = {}
+
+        def out(name: str) -> Optional[np.ndarray]:
+            return None if grads_out is None else grads_out[name]
+
         kind, lnf_cache, head_cache = caches[-1]
         if kind != "final":
             raise RuntimeError("corrupt cache stack")
         dlnf, grads["head.w"], grads["head.b"] = Dense.backward(
-            dlogits, head_cache, ws
+            dlogits, head_cache, ws, out("head.w"), out("head.b")
         )
         dx, grads["ln_f.g"], grads["ln_f.b"] = LayerNorm.backward(
-            dlnf, lnf_cache, ws
+            dlnf, lnf_cache, ws, out("ln_f.g"), out("ln_f.b")
         )
         if ws is not None:
             ws.give(dlogits)
@@ -380,26 +399,26 @@ class TinyTransformer:
                 fc2_cache,
             ) = cache
             dfc2, grads[f"h{i}.fc2.w"], grads[f"h{i}.fc2.b"] = Dense.backward(
-                dx, fc2_cache, ws
+                dx, fc2_cache, ws, out(f"h{i}.fc2.w"), out(f"h{i}.fc2.b")
             )
             dact = gelu_grad(fc1, ws)
             dact *= dfc2
             dln2, grads[f"h{i}.fc1.w"], grads[f"h{i}.fc1.b"] = Dense.backward(
-                dact, fc1_cache, ws
+                dact, fc1_cache, ws, out(f"h{i}.fc1.w"), out(f"h{i}.fc1.b")
             )
             dres, grads[f"h{i}.ln2.g"], grads[f"h{i}.ln2.b"] = LayerNorm.backward(
-                dln2, ln2_cache, ws
+                dln2, ln2_cache, ws, out(f"h{i}.ln2.g"), out(f"h{i}.ln2.b")
             )
             dx += dres
             dproj, grads[f"h{i}.proj.w"], grads[f"h{i}.proj.b"] = Dense.backward(
-                dx, proj_cache, ws
+                dx, proj_cache, ws, out(f"h{i}.proj.w"), out(f"h{i}.proj.b")
             )
             dqkv = self.attn.backward(dproj, attn_cache)
             dln1, grads[f"h{i}.qkv.w"], grads[f"h{i}.qkv.b"] = Dense.backward(
-                dqkv, qkv_cache, ws
+                dqkv, qkv_cache, ws, out(f"h{i}.qkv.w"), out(f"h{i}.qkv.b")
             )
             dres1, grads[f"h{i}.ln1.g"], grads[f"h{i}.ln1.b"] = LayerNorm.backward(
-                dln1, ln1_cache, ws
+                dln1, ln1_cache, ws, out(f"h{i}.ln1.g"), out(f"h{i}.ln1.b")
             )
             dx += dres1
             if ws is not None:
@@ -407,11 +426,18 @@ class TinyTransformer:
                             dres1):
                     ws.give(buf)
         _kind, tok_cache, s = caches[0]
-        grads["pos_emb"] = np.zeros_like(self.params["pos_emb"])
-        grads["pos_emb"][:s] = dx.sum(axis=0)
-        grads["tok_emb"] = Embedding.backward(dx, tok_cache)
+        if grads_out is None:
+            grads["pos_emb"] = np.zeros_like(self.params["pos_emb"])
+            grads["pos_emb"][:s] = dx.sum(axis=0)
+        else:
+            grads["pos_emb"] = grads_out["pos_emb"]
+            dx.sum(axis=0, out=grads["pos_emb"][:s])
+            grads["pos_emb"][s:] = 0
+        grads["tok_emb"] = Embedding.backward(dx, tok_cache, out("tok_emb"))
         if ws is not None:
             ws.give(dx)
+        if grads_out is not None:
+            return grads_out
         for name, g in grads.items():
             grads[name] = np.ascontiguousarray(g, dtype=np.float32)
         return grads

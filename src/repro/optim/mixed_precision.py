@@ -8,6 +8,7 @@ NaN/Inf detection and gradient-norm clipping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -53,6 +54,22 @@ class GradientHealth:
     has_nan_or_inf: bool
     global_norm: float
     clip_triggered: bool
+
+    @classmethod
+    def from_sumsq(
+        cls, sumsq: float, clip_norm: float | None
+    ) -> "GradientHealth":
+        """The verdict from a float64 sum of squared fp32 elements.
+
+        Such a sum cannot overflow from finite inputs, so it is
+        non-finite exactly when some element is — producers that fold
+        the squares into a pass they already make (the ZeRO
+        reduce-scatter) get both checks from one number.
+        """
+        if not math.isfinite(sumsq):
+            return cls(True, 0.0, False)
+        norm = math.sqrt(sumsq)
+        return cls(False, norm, clip_norm is not None and norm > clip_norm)
 
     @property
     def speculation_valid(self) -> bool:

@@ -26,6 +26,7 @@ from repro import tune
 from repro.exec import kernels
 from repro.exec.pool import KernelPool, get_pool
 from repro.optim.adam import AdamConfig
+from repro.optim.mixed_precision import GradientHealth, clip_coefficient
 from repro.parallel.comm import SimProcessGroup
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.tensors.arena import FlatArena
@@ -190,6 +191,12 @@ class _DiskMoments:
         self._prefetch(k + self.depth)
 
     def finish(self) -> None:
+        # A skipped step acquired nothing: land its prefetches before
+        # the slots are reused.
+        for reads in self._reads.values():
+            for ticket in reads:
+                ticket.wait()
+        self._reads.clear()
         for writes in self._slot_writes:
             wait_all(writes)
 
@@ -237,6 +244,13 @@ class ZeroShardedAdam:
     the measured baselines :func:`repro.reference.zero_dict_copy_step`
     and :func:`repro.reference.zero_disk_sync_step`.
 
+    ``step_flat(..., validate=True)`` additionally runs §4.4's global
+    gradient check inside that bucket loop, on the reduce-scatter's
+    output: the reduces land in an optimizer-owned *reduced plane* and
+    report their sums of squares, so the norm, the NaN/Inf verdict, the
+    clip and the Adam all come from one pass over the gradient (see
+    :meth:`step_flat`).
+
     Args:
         params: shared fp32 master parameters (updated in place — in a real
             deployment every rank holds the gathered fp16 copy; here the
@@ -246,7 +260,9 @@ class ZeroShardedAdam:
         zero: ZeRO behaviour switches.
         telemetry: span/counter sink shared with the internal communicator
             (no-op by default).
-        pipeline: overlap bucket reduce with shard Adam.
+        pipeline: overlap bucket reduce with shard Adam (a validated
+            step, whose first Adam must wait for the last reduce, fans
+            the reduces over the pool instead).
         bucket_elements: bucket size in fp32 elements; buckets never
             cross a shard boundary, so the effective size is capped at
             the shard length.  ``None`` resolves the
@@ -255,9 +271,9 @@ class ZeroShardedAdam:
         pool: kernel pool the overlapped reduces run on.  ``None`` means
             the shared multi-worker process-default pool, as everywhere
             in :mod:`repro.exec` — never "the calling thread".
-        pinned_pool: optional pinned-memory pool the staging buckets (and
-            the disk slot ring) are reserved from; reservations are
-            released by :meth:`release_staging`.
+        pinned_pool: optional pinned-memory pool the staging buckets, the
+            reduced plane and the disk slot ring are reserved from;
+            reservations are released by :meth:`release_staging`.
         offload: ``"none"`` (resident fp32 moments, default) or
             ``"disk"`` — park the (m, v) moment planes under
             ``spill_dir`` and stream each bucket's extents through
@@ -317,6 +333,10 @@ class ZeroShardedAdam:
         self._staging: List[np.ndarray] = []
         self._staging_allocs: list = []
         self._grad_arenas: Dict[int, FlatArena] = {}
+        #: Where a validated step's reduce-scatter lands (allocated by
+        #: the first one): the averaged gradient every rank's shard Adam
+        #: consumes, full flat length because all ranks live here.
+        self._reduced: Optional[np.ndarray] = None
         self._steps: List[int] = [0] * world_size
         #: The moment planes' :class:`SpillArena` (``None`` when resident).
         self.spill: Optional[SpillArena] = None
@@ -346,9 +366,11 @@ class ZeroShardedAdam:
     def grad_arena(self, rank: int) -> FlatArena:
         """Rank ``rank``'s persistent gradient arena.
 
-        Producers that can write gradients into this arena's views (or
-        its flat buffer) make :meth:`step` fully copy-free; it is also
-        the reusable landing zone :meth:`step` ingests plain dicts into.
+        Producers that write gradients into this arena's views (or its
+        flat buffer) make the step fully copy-free — the data-parallel
+        trainer passes the views to the model's backward as its output
+        buffers; it is also the reusable landing zone :meth:`step`
+        ingests plain dicts into.  The optimizer only ever reads it.
         """
         if not 0 <= rank < self.world_size:
             raise IndexError(f"rank {rank} out of range")
@@ -380,19 +402,38 @@ class ZeroShardedAdam:
             flats.append(flat)
         self.step_flat(flats)
 
-    def step_flat(self, per_rank_flat: Sequence[np.ndarray]) -> None:
+    def step_flat(
+        self,
+        per_rank_flat: Sequence[np.ndarray],
+        validate: bool = False,
+        clip_norm: float | None = None,
+    ) -> Optional[GradientHealth]:
         """One sharded update from per-rank *flat* gradient buffers.
 
         The fully zero-copy entry point: each buffer must be a dense fp32
-        vector of the padded flat length (e.g. ``grad_arena(r).flat``).
-        Without ``pipeline`` (or below the tuned ``zero.min_pipeline``
+        vector of the padded flat length (e.g. ``grad_arena(r).flat``);
+        the buffers are only ever read.
+
+        Plain (``validate=False``, no ``clip_norm``): without
+        ``pipeline`` (or below the tuned ``zero.min_pipeline``
         crossover, where staging and submit round-trips cost more than
-        the overlap saves) this is the plain serial dataflow: one
+        the overlap saves) this is the serial dataflow — one
         reduce-scatter averaged in place, each shard's Adam applied to
         its arena view, and an all-gather that skips every chunk already
         aliasing its destination.  Otherwise — and always with disk
         offload, whose moments only exist a bucket at a time — it is the
-        bitwise-identical overlapped bucket loop.
+        bitwise-identical overlapped bucket loop.  Returns ``None``.
+
+        Validated (``validate=True``, implied by a ``clip_norm``): the
+        §4.4 global check runs on the *reduced* gradient, inside the
+        same bucket loop.  Every bucket's reduce lands in the
+        optimizer-owned reduced plane and reports the float64 sum of
+        squares of what it wrote; the sums, added in bucket order, give
+        the global L2 norm and — being non-finite exactly when an
+        element is — the NaN/Inf verdict.  A non-finite gradient skips
+        the update (no Adam, no step-counter bump, no moment write);
+        a norm above ``clip_norm`` scales each reduced bucket once, just
+        before its Adam.  Returns the :class:`GradientHealth`.
         """
         if len(per_rank_flat) != self.world_size:
             raise ValueError("one flat gradient buffer per rank required")
@@ -404,12 +445,15 @@ class ZeroShardedAdam:
                     f"rank {r} flat gradient must be a 1-D fp32 array of "
                     f"length {total}"
                 )
-        if not self._moments.resident or (
+        validate = validate or clip_norm is not None
+        overlapped = not self._moments.resident or (
             self.pipeline
             and total >= tune.value("zero.min_pipeline", 0, size=total)
-        ):
-            self._step_buckets(per_rank_flat)
-            return
+        )
+        if validate or overlapped:
+            return self._step_buckets(
+                per_rank_flat, overlapped, validate, clip_norm
+            )
         tracer = self.telemetry.tracer
         moments = self._moments
         tile = tune.value("adam.cache_tile", kernels.CACHE_TILE,
@@ -441,6 +485,7 @@ class ZeroShardedAdam:
                 )
                 # The unflatten stage the dict-copy dataflow needed.
                 self.arena.note_alias(self.arena.flat.nbytes)
+        return None
 
     def _next_hyper(self, rank: int) -> "kernels.AdamChunkHyper":
         """Advance ``rank``'s step counter (once per global step, before
@@ -451,12 +496,14 @@ class ZeroShardedAdam:
         )
 
     def release_staging(self) -> None:
-        """Drop the staging buffers and return their pinned reservations."""
+        """Drop the staging buffers and the reduced plane, and return
+        the pinned reservations."""
         if self._pinned_pool is not None:
             for alloc in self._staging_allocs:
                 self._pinned_pool.release(alloc)
         self._staging_allocs.clear()
         self._staging.clear()
+        self._reduced = None
         self._moments.release()
 
     def close_spill(self) -> None:
@@ -478,80 +525,148 @@ class ZeroShardedAdam:
                 out.append((r, blo, min(hi, blo + self.bucket_elements)))
         return out
 
-    def _step_buckets(self, per_rank_flat: Sequence[np.ndarray]) -> None:
-        """The overlapped bucket dataflow (bitwise twin of the serial step).
+    def _step_buckets(
+        self,
+        per_rank_flat: Sequence[np.ndarray],
+        overlapped: bool,
+        validate: bool,
+        clip_norm: float | None,
+    ) -> Optional[GradientHealth]:
+        """The bucket dataflow (bitwise twin of the serial step).
 
-        Bucket ``k+1``'s reduce-scatter is *submitted* to the kernel pool
-        and runs on a worker thread while the calling thread applies
-        bucket ``k``'s fused shard Adam; the moment store hands each
-        bucket its (m, v) window — a view when resident, a prefetched
-        staging slot written back behind the loop when on disk (§2.2).
+        Each bucket is reduced by :func:`kernels.reduce_chunk`, handed
+        its (m, v) window by the moment store — a view when resident, a
+        prefetched staging slot written back behind the loop when on
+        disk (§2.2) — and stepped by the fused shard Adam.  The schedule
+        has one degree of freedom, the point where the loop waits for
+        reduces:
+
+        * plain: bucket ``k+1``'s reduce is *submitted* to the kernel
+          pool and runs on a worker thread while the calling thread
+          applies bucket ``k``'s Adam, double-buffered through two
+          staging buckets;
+        * validated: global clipping makes the first Adam depend on the
+          last reduce, so every reduce is submitted up front into the
+          reduced plane and joined once (the ``grad_health`` span); the
+          disk prefetch is issued *before* that join, so the first
+          moment reads overlap the reduce.
+
+        ``overlapped=False`` (a validated step of a non-pipelined
+        optimizer) runs the same loop with the reduces inline on the
+        calling thread.
+
         Bitwise identity with the serial :meth:`step_flat` holds because
         (a) each bucket's reduction is the same left fold over ranks the
         serial reduce-scatter performs, followed by the same elementwise
         divide, (b) the Adam kernel is elementwise, so cutting a shard
         into buckets changes no bit, (c) every per-shard step counter is
         bumped exactly once per global step, before that shard's first
-        bucket, and (d) fp32 disk round-trips are byte-exact.  Gradients
-        must not alias the parameter arena (gradient arenas are separate
-        buffers): the overlapped reduce reads them while earlier
-        buckets' parameters are being written.
+        bucket, and (d) fp32 disk round-trips are byte-exact.  The
+        verdict is independent of the worker count: a bucket's sum of
+        squares depends only on its bits, and the sums are added in
+        bucket order.  Gradients must not alias the parameter arena
+        (gradient arenas are separate buffers): the overlapped reduce
+        reads them while earlier buckets' parameters are being written.
         """
         tracer = self.telemetry.tracer
         divisor = (np.float32(self.world_size)
                    if self.zero.average_gradients else None)
-        pool = self._pool if self._pool is not None else get_pool()
-        if not self._staging:
-            self._staging = _fp32_buffers(
-                2, self.bucket_elements, self._pinned_pool,
-                "zero_bucket_staging_", self._staging_allocs,
-            )
-        staging = self._staging
+        if not overlapped:
+            pool = KernelPool(1)  # submit runs inline; no thread exists
+        else:
+            pool = self._pool if self._pool is not None else get_pool()
         buckets = self._buckets()
+        if validate:
+            if self._reduced is None:
+                (self._reduced,) = _fp32_buffers(
+                    1, self.arena.layout.total, self._pinned_pool,
+                    "zero_reduced_plane_", self._staging_allocs,
+                )
+            reduce_kernel = kernels.reduce_sumsq_chunk
+        else:
+            if not self._staging:
+                self._staging = _fp32_buffers(
+                    2, self.bucket_elements, self._pinned_pool,
+                    "zero_bucket_staging_", self._staging_allocs,
+                )
+            reduce_kernel = kernels.reduce_chunk
         moments = self._moments
         master = self.arena.flat
         tile = tune.value("adam.cache_tile", kernels.CACHE_TILE,
                           size=self.bucket_elements)
 
+        def landing(k: int) -> Tuple[np.ndarray, int]:
+            """(buffer, flat offset of its element 0) bucket ``k``'s
+            reduced gradient lands in."""
+            if validate:
+                return self._reduced, 0
+            return self._staging[k % 2], buckets[k][1]
+
         def submit_reduce(k: int):
             r, lo, hi = buckets[k]
             # With telemetry off the raw kernel is submitted: zero
             # per-bucket tracing overhead.
-            reduce = kernels.reduce_chunk
+            reduce = reduce_kernel
             if tracer.enabled:
                 def reduce(*args):
                     with tracer.span("bucket_reduce", category="comm",
                                      bucket=k, rank=r):
-                        kernels.reduce_chunk(*args)
-            return pool.submit(reduce, lo, hi, staging[k % 2], lo,
+                        return reduce_kernel(*args)
+            return pool.submit(reduce, lo, hi, *landing(k),
                                per_rank_flat, divisor)
 
+        health = None
+        coef = None
         with tracer.span("zero_step", category="optim",
-                         world_size=self.world_size, pipelined=True,
+                         world_size=self.world_size, pipelined=overlapped,
                          buckets=len(buckets), **moments.span_attrs):
             # The collectives are fused into the bucket loop; account the
             # same payloads the serial entry points would have counted.
             self.group.count_payload(
                 "reduce_scatter", sum(b.nbytes for b in per_rank_flat)
             )
+            pending = [
+                submit_reduce(k)
+                for k in range(len(buckets) if validate else 1)
+            ]
             moments.begin([(lo, hi) for _, lo, hi in buckets])
-            pending = submit_reduce(0)
+            if validate:
+                with tracer.span("grad_health", category="validate",
+                                 buckets=len(buckets)):
+                    pool.wait_all(pending)
+                    health = GradientHealth.from_sumsq(
+                        sum(f.result() for f in pending), clip_norm
+                    )
+                if health.has_nan_or_inf:
+                    moments.finish()
+                    return health
+                if health.clip_triggered:
+                    coef = np.float32(
+                        clip_coefficient(health.global_norm, clip_norm)
+                    )
             hyper = None
             prev_rank = -1
             for k, (r, lo, hi) in enumerate(buckets):
-                with tracer.span("bucket_wait", category="stall", bucket=k):
-                    pending.result()
-                if k + 1 < len(buckets):
-                    pending = submit_reduce(k + 1)
+                if not validate:
+                    with tracer.span("bucket_wait", category="stall",
+                                     bucket=k):
+                        pending[k].result()
+                    if k + 1 < len(buckets):
+                        pending.append(submit_reduce(k + 1))
+                buf, base = landing(k)
+                grad = buf[lo - base: hi - base]
                 m, v = moments.acquire(k)
                 if r != prev_rank:
                     hyper = self._next_hyper(r)
                     prev_rank = r
+                if coef is not None:
+                    with tracer.span("grad_clip", category="optim",
+                                     bucket=k):
+                        grad *= coef
                 with tracer.span("bucket_adam", category="optim",
                                  rank=r, bucket=k):
                     kernels.adam_chunk(
-                        0, hi - lo, master[lo:hi], m, v,
-                        staging[k % 2][: hi - lo], hyper, tile,
+                        0, hi - lo, master[lo:hi], m, v, grad, hyper, tile,
                     )
                 moments.commit(k)
             moments.finish()
@@ -560,6 +675,7 @@ class ZeroShardedAdam:
             # payload and the saved copy, move no bytes.
             self.group.count_payload("all_gather", master.nbytes)
             self.arena.note_alias(master.nbytes)
+        return health
 
     def moment_planes(self) -> Dict[str, np.ndarray]:
         """Fresh fp32 copies of the full (m, v) moment planes, wherever

@@ -19,7 +19,13 @@ import numpy as np
 
 from repro.exec import kernels
 from repro.optim.adam import AdamConfig
+from repro.optim.mixed_precision import (
+    GradientHealth,
+    check_gradients,
+    clip_coefficient,
+)
 from repro.parallel.comm import SimProcessGroup
+from repro.parallel.dp import shard_batch
 from repro.tensors.arena import ArenaLayout
 from repro.tensors.spill import SpillArena
 
@@ -206,3 +212,71 @@ def zero_disk_sync_step(
                                staging[:n], hyper)
             spill.write("m", lo, hi, m_slot)
             spill.write("v", lo, hi, v_slot)
+
+
+# -- data-parallel trainer: the unfused gradient path --------------------
+
+
+def dp_step_reference(
+    model,
+    optimizer,
+    fp16,
+    ids: np.ndarray,
+    targets: np.ndarray,
+    clip_norm: Optional[float],
+) -> Tuple[float, GradientHealth]:
+    """The data-parallel trainer's step before its gradient path was
+    fused into the ZeRO bucket loop.
+
+    Per rank a fresh gradient dict; a float64 mean over the stacked
+    dicts, validated by :func:`check_gradients` and then thrown away;
+    one ``fill_from`` copy per rank into its gradient arena; a
+    full-plane clip multiply per rank; and the plain ``step_flat``,
+    which reduces the same gradients a second time.  A non-finite mean
+    skips the update.
+
+    Tolerance twin of :meth:`repro.training.DataParallelTrainer.
+    train_step` — same clip decisions, ``grad_norm`` to fp32 rounding
+    (the production norm is taken on the fp32 reduce-scatter output, not
+    on a float64 mean), parameters to the trainer suite's 1e-5 — and the
+    ``dp_step`` bench baseline.
+
+    Args:
+        model: a :class:`~repro.numeric.transformer.TinyTransformer`
+            whose ``params`` ``optimizer`` adopted.
+        optimizer: the :class:`~repro.parallel.zero.ZeroShardedAdam`.
+        fp16: a float16 arena with the optimizer's layout — the model
+            copy the forward reads and this step refreshes.
+        clip_norm: global clipping threshold (``None`` disables).
+
+    Returns:
+        (mean rank loss, the health verdict on the float64 mean).
+    """
+    world = optimizer.world_size
+    widened = {k: v.astype(np.float32) for k, v in fp16.views.items()}
+    losses, per_rank = [], []
+    for rank_ids, rank_targets in shard_batch(ids, targets, world):
+        loss, grads = model.loss_and_grads(
+            rank_ids, rank_targets, params=widened
+        )
+        losses.append(loss)
+        per_rank.append(grads)
+    mean_grads = {
+        k: np.mean([g[k] for g in per_rank], axis=0, dtype=np.float64)
+        .astype(np.float32)
+        for k in per_rank[0]
+    }
+    health = check_gradients(mean_grads, clip_norm)
+    if health.has_nan_or_inf:
+        return float(np.mean(losses)), health
+    grad_arenas = [optimizer.grad_arena(r) for r in range(world)]
+    for ga, grads in zip(grad_arenas, per_rank):
+        ga.fill_from(grads)
+    if health.clip_triggered:
+        coef = np.float32(clip_coefficient(health.global_norm, clip_norm))
+        for ga in grad_arenas:
+            ga.flat *= coef
+    optimizer.step_flat([ga.flat for ga in grad_arenas])
+    with np.errstate(over="ignore"):
+        fp16.flat[...] = optimizer.arena.flat
+    return float(np.mean(losses)), health

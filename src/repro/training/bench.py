@@ -10,6 +10,10 @@ asks for.  Five sections:
   :func:`repro.reference.zero_dict_copy_step` (flatten / private shards
   / unflatten) vs. :class:`~repro.parallel.zero.ZeroShardedAdam` fed
   pre-filled gradient arenas via :meth:`step_flat`.
+  Rides along: the ``dp_step`` row — a whole data-parallel trainer
+  step (backward into the rank arenas, one validated reduce-scatter
+  feeding the health check and Adam) vs. the unfused step it replaced,
+  :func:`repro.reference.dp_step_reference`.
 * ``rollback`` — STV bucket snapshot capture+restore with an
   arena-backed optimizer (three range memcpys) vs. a plain-dict
   optimizer (per-tensor copies).
@@ -212,6 +216,113 @@ def _bench_zero_step(
         "dict_copy_ms": dict_s * 1e3,
         "arena_ms": arena_s * 1e3,
         "speedup": dict_s / arena_s,
+    }
+
+
+#: Model shapes of the ``dp_step`` row: the run-level benchmark's
+#: ``train_zero_*`` model (8.68 M parameters — gradient planes far larger
+#: than cache, like the real workload), and a CI-sized one.
+DP_STEP_SPEC = dict(vocab=2048, max_seq=16, hidden=384, n_layers=4,
+                    n_heads=8)
+QUICK_DP_STEP_SPEC = dict(vocab=512, max_seq=16, hidden=128, n_layers=2,
+                          n_heads=4)
+#: One lockstep step from identical state: norm and parameter agreement
+#: between the fused step and its reference (the trainer suite's bounds).
+DP_STEP_NORM_RTOL = 1e-6
+DP_STEP_PARAM_ATOL = 1e-5
+
+
+def _bench_dp_step(
+    world_size: int, workers: int, repeats: int, quick: bool, seed: int,
+) -> Dict[str, float]:
+    """The trainer's fused step vs. the unfused reference step.
+
+    Both arms run the same model from the same seed over the same
+    batches on a pipelined optimizer; the reference arm is the complete
+    old step (casts, per-rank fresh gradient dicts, float64 mean +
+    check, ``fill_from`` per rank, per-rank clip, plain ``step_flat``).
+    Reports the median and the repeat CV of each arm (a ratio is only
+    as good as its noise), the gradient-plane copies each arm makes per
+    step, and whether one step from identical state agrees within the
+    trainer suite's tolerances.
+    """
+    from repro.data.synthetic import SyntheticPile
+    from repro.training.dp_trainer import DataParallelTrainer
+
+    spec = TransformerParams(
+        **(QUICK_DP_STEP_SPEC if quick else DP_STEP_SPEC))
+    clip, batch = 1.0, world_size
+    pool = get_pool(workers)
+    trainer = DataParallelTrainer(
+        spec, world_size, clip_norm=clip, seed=seed, pipeline=True,
+        pool=pool)
+    model = TinyTransformer(spec, seed=seed)
+    optimizer = ZeroShardedAdam(model.params, world_size, pipeline=True,
+                                pool=pool)
+    fp16 = optimizer.arena.like(np.float16)
+    fp16.flat[...] = optimizer.arena.flat
+    batches = SyntheticPile(spec.vocab, seed=seed).batches(
+        batch, spec.max_seq)
+
+    def fused_step(ids, targets):
+        return trainer.train_step(ids, targets).grad_norm
+
+    def reference_step(ids, targets):
+        _, health = reference.dp_step_reference(
+            model, optimizer, fp16, ids, targets, clip)
+        return health.global_norm
+
+    arms = (reference_step, fused_step)
+    samples: List[List[float]] = [[], []]
+    for i in range(repeats + 1):        # round 0 warms both paths up
+        ids, targets = next(batches)
+        for arm, times in zip(arms, samples):
+            t0 = time.perf_counter()
+            arm(ids, targets)
+            if i:
+                times.append(time.perf_counter() - t0)
+
+    # One more step each from identical state, gradient-arena traffic
+    # counted: the agreement flag and the copies-per-step column.
+    optimizer.arena.flat[...] = trainer.arena.flat
+    optimizer.load_moments(**trainer.optimizer.moment_planes(),
+                           steps=trainer.optimizer.shard_steps())
+    with np.errstate(over="ignore"):
+        fp16.flat[...] = optimizer.arena.flat   # the step's own narrow cast
+    ids, targets = next(batches)
+    plane_bytes = trainer.arena.layout.unpadded * 4
+    norms, copies = [], []
+    for arm, opt in zip(arms, (optimizer, trainer.optimizer)):
+        counted = Telemetry()
+        for r in range(world_size):
+            opt.grad_arena(r).set_telemetry(counted)
+        norms.append(arm(ids, targets))
+        copies.append(
+            counted.metrics.counter("arena_bytes_copied").value
+            / plane_bytes)
+    tolerance_ok = bool(
+        abs(norms[0] - norms[1]) <= DP_STEP_NORM_RTOL * norms[0]
+        and np.allclose(trainer.arena.flat, optimizer.arena.flat,
+                        rtol=0.0, atol=DP_STEP_PARAM_ATOL)
+    )
+    for opt in (optimizer, trainer.optimizer):
+        opt.release_staging()
+    pool.shutdown()
+    reference_ms, fused_ms = (float(np.median(t)) * 1e3 for t in samples)
+    reference_cv, fused_cv = (
+        float(np.std(t) / np.mean(t)) for t in samples)
+    return {
+        "elements": trainer.arena.layout.unpadded,
+        "world_size": world_size,
+        "workers": workers,
+        "reference_ms": reference_ms,
+        "fused_ms": fused_ms,
+        "speedup": reference_ms / fused_ms,
+        "reference_cv": reference_cv,
+        "fused_cv": fused_cv,
+        "reference_copies_per_step": copies[0],
+        "fused_copies_per_step": copies[1],
+        "tolerance_ok": tolerance_ok,
     }
 
 
@@ -1088,6 +1199,9 @@ def substrate_bench(
         result["zero_step"] = [
             _bench_zero_step(rng, n, n_tensors, world_size, repeats)
             for n in sizes
+        ]
+        result["dp_step"] = [
+            _bench_dp_step(world_size, workers, repeats, quick, seed)
         ]
     if "rollback" in sections:
         result["rollback"] = [

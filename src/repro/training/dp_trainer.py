@@ -1,10 +1,11 @@
 """Numeric multi-rank data-parallel training (§4.7 ZeRO-3 integration).
 
 Runs the real numpy transformer across simulated data-parallel ranks: each
-rank computes gradients on its batch shard, gradients are averaged through
-the simulated communicator, and the update runs through the ZeRO-sharded
-optimizer (each rank owns 1/N of the fp32 master and moment state, exactly
-the partition-before-offload layout of §4.7).
+rank's backward writes its gradients into its persistent gradient arena,
+and the ZeRO-sharded optimizer (each rank owns 1/N of the fp32 master and
+moment state, exactly the partition-before-offload layout of §4.7) does
+the rest in one pass per gradient byte — one reduce-scatter whose output
+feeds both the global NaN/Inf + norm check (§4.4) and the shard Adam.
 
 The tests assert the distributed run is numerically equivalent to a
 single-rank run over the full batch — the invariant that makes the paper's
@@ -14,7 +15,7 @@ multi-superchip extension a pure memory/performance change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
@@ -22,28 +23,37 @@ from repro.data.synthetic import SyntheticPile
 from repro.exec.pool import KernelPool
 from repro.numeric.transformer import TinyTransformer, TransformerParams
 from repro.optim.adam import AdamConfig
-from repro.optim.mixed_precision import (
-    check_gradients,
-    clip_coefficient,
-)
 from repro.parallel.comm import SimProcessGroup
 from repro.parallel.dp import shard_batch
 from repro.parallel.plan import ParallelPlan, PlanModel
 from repro.parallel.zero import ZeroShardedAdam
 from repro.telemetry import NULL_TELEMETRY, Telemetry
-from repro.tensors.arena import FlatArena
 from repro.tensors.pinned import PinnedBufferPool
 from repro.tensors.workspace import ActivationWorkspace
 
 
 @dataclass(frozen=True)
 class DPStepReport:
-    """Per-iteration record of the distributed trainer."""
+    """Per-iteration record of the distributed trainer.
+
+    Attributes:
+        iteration: 0-based step index.
+        loss: mean of the ranks' losses.
+        grad_norm: L2 norm of the averaged fp32 gradient the shard Adam
+            consumes (the reduce-scatter's output, before clipping);
+            ``0.0`` on a skipped step.
+        clipped: the norm exceeded ``clip_norm`` and the update used the
+            rescaled gradient.
+        skipped: the averaged gradient held a NaN/Inf, so no update was
+            applied — master weights, moments, step counters and the
+            fp16 copy keep their pre-step bits.
+    """
 
     iteration: int
     loss: float
     grad_norm: float
     clipped: bool
+    skipped: bool = False
 
 
 class DataParallelTrainer:
@@ -61,18 +71,19 @@ class DataParallelTrainer:
             (bitwise seed-equivalent, default) or ``"streaming"``.
         use_workspace: back the per-rank forward/backward with an
             :class:`~repro.tensors.workspace.ActivationWorkspace`.  Safe
-            across the rank loop because each rank's gradients are
-            freshly allocated (never workspace-backed) — only the
-            activations between a rank's forward and backward live in
-            the reused buffers.
+            across the rank loop because a rank's gradients never live
+            in the workspace (they land in its gradient arena, or in
+            fresh arrays on a plan-routed step) — only the activations
+            between a rank's forward and backward live in the reused
+            buffers.
         pipeline: overlap the sharded optimizer's bucket reduce with the
             shard Adam (forwarded to :class:`ZeroShardedAdam`; bitwise
             identical to the serial step).
         bucket_elements: pipelined bucket size (forwarded).
         pool: kernel pool the overlapped step runs on (forwarded;
             ``None`` uses the process default).
-        pinned_pool: pinned staging pool for the bucket double-buffer
-            (forwarded).
+        pinned_pool: pinned pool the optimizer's reduced plane and disk
+            slot ring are reserved from (forwarded).
         offload: ``"none"`` or ``"disk"`` — spill the optimizer's (m, v)
             moment planes to ``spill_dir`` (forwarded to
             :class:`ZeroShardedAdam`; bitwise identical to resident).
@@ -146,9 +157,6 @@ class DataParallelTrainer:
                       backend=attn_backend)
             if plan is not None and (plan.tp > 1 or plan.pp > 1)
             else None
-        )
-        self._route = (
-            self.plan_model if self.plan_model is not None else self.model
         )
         self.optimizer = ZeroShardedAdam(
             self.model.params, world_size, config=adam or AdamConfig(),
@@ -269,56 +277,53 @@ class DataParallelTrainer:
             self._wide_arena.flat[...] = self._fp16_arena.flat
             self._wide_arena.note_alias(self._wide_arena.flat.nbytes)
             widened = dict(self._wide_arena.views)
-        per_rank: List[Dict[str, np.ndarray]] = []
-        losses = []
-        with tracer.span("fwd_bwd", category="compute",
-                         ranks=self.world_size):
-            for rank_ids, rank_targets in shards:
-                loss, grads = self._route.loss_and_grads(
-                    rank_ids, rank_targets, params=widened
-                )
-                losses.append(loss)
-                per_rank.append(grads)
-        # global clipping: the same check every rank would agree on after
-        # the gradient reduction
-        mean_grads = {
-            k: np.mean([g[k] for g in per_rank], axis=0, dtype=np.float64)
-            .astype(np.float32)
-            for k in per_rank[0]
-        }
-        health = check_gradients(mean_grads, self.clip_norm)
-        clipped = health.clip_triggered
-        # Ingest each rank's gradients into its persistent gradient arena
-        # (the only copy of the step); clipping is then an in-place flat
-        # multiply with the same bits as the per-tensor version.
+        # each rank's backward output buffer, and the optimizer's input
         grad_arenas = [
             self.optimizer.grad_arena(r) for r in range(self.world_size)
         ]
-        for ga, grads in zip(grad_arenas, per_rank):
-            ga.fill_from(grads)
-        if clipped:
-            assert self.clip_norm is not None
-            coef = np.float32(
-                clip_coefficient(health.global_norm, self.clip_norm)
-            )
-            for ga in grad_arenas:
-                ga.flat *= coef
-        self.optimizer.step_flat([ga.flat for ga in grad_arenas])
-        with tracer.span("cast", category="cast", direction="narrow"):
-            # one flat narrowing cast back into the fp16 plane
-            with np.errstate(over="ignore"):
-                self._fp16_arena.flat[...] = self.arena.flat
-            self._fp16_arena.note_alias(self._fp16_arena.flat.nbytes)
+        losses = []
+        with tracer.span("fwd_bwd", category="compute",
+                         ranks=self.world_size):
+            for ga, (rank_ids, rank_targets) in zip(grad_arenas, shards):
+                if self.plan_model is None:
+                    # backward writes this rank's gradients where the
+                    # reduce-scatter reads them: no copy, no allocation
+                    loss, _ = self.model.loss_and_grads(
+                        rank_ids, rank_targets, params=widened,
+                        grads_out=ga.views,
+                    )
+                else:
+                    loss, grads = self.plan_model.loss_and_grads(
+                        rank_ids, rank_targets, params=widened
+                    )
+                    ga.fill_from(grads)
+                losses.append(loss)
+        # Global validation on what every rank agrees on — the reduced
+        # gradient — and the update, in one pass over the arenas.
+        health = self.optimizer.step_flat(
+            [ga.flat for ga in grad_arenas],
+            validate=True, clip_norm=self.clip_norm,
+        )
+        skipped = health.has_nan_or_inf
+        if not skipped:
+            with tracer.span("cast", category="cast", direction="narrow"):
+                # one flat narrowing cast back into the fp16 plane
+                with np.errstate(over="ignore"):
+                    self._fp16_arena.flat[...] = self.arena.flat
+                self._fp16_arena.note_alias(self._fp16_arena.flat.nbytes)
         report = DPStepReport(
             iteration=self.iteration,
             loss=float(np.mean(losses)),
             grad_norm=health.global_norm,
-            clipped=clipped,
+            clipped=health.clip_triggered,
+            skipped=skipped,
         )
         metrics = self.telemetry.metrics
         metrics.histogram("dp_train_loss").observe(report.loss)
-        if clipped:
+        if report.clipped:
             metrics.counter("dp_clips_total").inc()
+        if skipped:
+            metrics.counter("dp_overflow_skips_total").inc()
         self.iteration += 1
         return report
 

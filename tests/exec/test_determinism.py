@@ -229,3 +229,63 @@ class TestReduceIdentity:
         finally:
             pool.shutdown()
         np.testing.assert_array_equal(dst, ref)
+
+
+class TestSumsqKernel:
+    """The validated reduce's norm term: exact squares, a value that is
+    a function of the bits alone, and non-finite iff an element is."""
+
+    @given(n=st.integers(min_value=1, max_value=3 * kernels.CACHE_TILE),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_float64_dot(self, n, seed):
+        x = np.random.default_rng(seed).standard_normal(
+            n, dtype=np.float32) * np.float32(1e3)
+        x64 = x.astype(np.float64)
+        got = kernels.sumsq_chunk(0, n, x)
+        assert got == pytest.approx(float(np.dot(x64, x64)), rel=1e-12)
+        # a sub-range sees only its own elements
+        lo = n // 3
+        assert kernels.sumsq_chunk(lo, n, x) == pytest.approx(
+            float(np.dot(x64[lo:], x64[lo:])), rel=1e-12)
+
+    def test_same_value_on_every_thread(self):
+        x = np.random.default_rng(5).standard_normal(
+            100_003, dtype=np.float32)
+        here = kernels.sumsq_chunk(0, x.size, x)
+        pool = KernelPool(3)
+        try:
+            there = [pool.submit(kernels.sumsq_chunk, 0, x.size, x)
+                     for _ in range(6)]
+            assert {f.result() for f in there} == {here}
+        finally:
+            pool.shutdown()
+
+    def test_finite_extremes_do_not_overflow(self):
+        x = np.full(4 * kernels.CACHE_TILE, np.finfo(np.float32).max,
+                    dtype=np.float32)
+        assert np.isfinite(kernels.sumsq_chunk(0, x.size, x))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_element_gives_non_finite_sum(self, bad):
+        x = np.ones(kernels.CACHE_TILE + 9, dtype=np.float32)
+        x[-2] = bad
+        assert not np.isfinite(kernels.sumsq_chunk(0, x.size, x))
+        assert np.isfinite(kernels.sumsq_chunk(0, x.size - 2, x))
+
+    def test_fused_reduce_reports_what_it_wrote(self):
+        rng = np.random.default_rng(6)
+        sources = [rng.standard_normal(1000, dtype=np.float32)
+                   for _ in range(3)]
+        plain = np.empty(1000, dtype=np.float32)
+        fused = np.empty(400, dtype=np.float32)
+        kernels.reduce_chunk(0, 1000, plain, 0, sources, np.float32(3))
+        got = kernels.reduce_sumsq_chunk(300, 700, fused, 300, sources,
+                                         np.float32(3))
+        np.testing.assert_array_equal(fused, plain[300:700])
+        assert got == kernels.sumsq_chunk(300, 700, plain)
+        # a sum that overflows fp32 is reported, not warned about
+        big = [np.full(8, 3e38, dtype=np.float32)] * 2
+        with np.errstate(all="raise"):
+            assert not np.isfinite(kernels.reduce_sumsq_chunk(
+                0, 8, np.empty(8, dtype=np.float32), 0, big))

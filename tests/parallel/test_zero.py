@@ -304,6 +304,145 @@ class TestPipelinedStep:
         assert_bitwise_twins(serial[0], pipe[0])
 
 
+class TestValidatedStep:
+    """``step_flat(validate=True)``: the §4.4 global check rides the
+    reduce-scatter.  Same bucket loop, one wait point moved — so a
+    finite, unclipped validated step must equal the plain step bit for
+    bit in every schedule, and the verdict must not depend on who ran
+    the reduces."""
+
+    MODES = ["serial", "pipelined", "disk"]
+
+    @staticmethod
+    def reduced_fold(flats, world):
+        """The left fold / world the reduce-scatter performs."""
+        total = flats[0].copy()
+        for f in flats[1:]:
+            total = total + f
+        return total / np.float32(world)
+
+    @pytest.mark.parametrize("world", [1, 2, 3])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unclipped_validated_step_is_the_plain_step(
+            self, tmp_path, mode, world):
+        plain = zero_fixture(8, SMALL, world)
+        checked = zero_fixture(8, SMALL, world, mode, tmp_path,
+                               bucket_elements=5)
+        rng = np.random.default_rng(0)
+        n = plain[0].arena.layout.unpadded
+        try:
+            for _ in range(3):
+                for r in range(world):
+                    fresh = rng.standard_normal(n, dtype=np.float32)
+                    plain[1][r][:n] = fresh
+                    checked[1][r][:n] = fresh
+                before = [f.copy() for f in checked[1]]
+                assert plain[0].step_flat(plain[1]) is None
+                health = checked[0].step_flat(checked[1], validate=True)
+                assert not health.has_nan_or_inf
+                assert not health.clip_triggered
+                expected = np.linalg.norm(
+                    self.reduced_fold(before, world).astype(np.float64))
+                assert health.global_norm == pytest.approx(expected,
+                                                           rel=1e-12)
+                # the caller's flats are inputs, never scratch
+                for f, b in zip(checked[1], before):
+                    np.testing.assert_array_equal(f, b)
+            assert_bitwise_twins(plain[0], checked[0])
+        finally:
+            close_all(plain[0], checked[0])
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_clip_scales_the_reduced_gradient_once(self, tmp_path, mode):
+        """A clipped step equals a plain single-rank step fed the
+        reduced gradient times the clip coefficient — and still leaves
+        the caller's flats alone."""
+        from repro.optim.mixed_precision import clip_coefficient
+
+        world = 2
+        checked, flats = zero_fixture(9, SMALL, world, mode, tmp_path,
+                                      bucket_elements=5)
+        oracle, (oracle_flat,) = zero_fixture(9, SMALL, 1)
+        oracle.arena.flat[:22] = checked.arena.flat[:22]
+        before = [f.copy() for f in flats]
+        try:
+            health = checked.step_flat(flats, clip_norm=0.5)
+            assert health.clip_triggered and health.global_norm > 0.5
+            coef = np.float32(clip_coefficient(health.global_norm, 0.5))
+            oracle_flat[:22] = (self.reduced_fold(before, world) * coef)[:22]
+            oracle.step_flat([oracle_flat])
+            np.testing.assert_array_equal(checked.arena.flat[:22],
+                                          oracle.arena.flat[:22])
+            for f, b in zip(flats, before):
+                np.testing.assert_array_equal(f, b)
+        finally:
+            close_all(checked, oracle)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_skips_the_update(self, tmp_path, mode,
+                                                  poison):
+        """No Adam, no step-counter bump, no moment write — and the next
+        clean step proceeds as if the poisoned one never happened."""
+        world = 2
+        a = zero_fixture(10, SMALL, world, mode, tmp_path / "a",
+                         bucket_elements=5)
+        b = zero_fixture(10, SMALL, world, mode, tmp_path / "b",
+                         bucket_elements=5)
+        try:
+            step_twins([a, b], steps=1)           # non-trivial moments
+            clean = a[1][1][7]
+            a[1][1][7] = poison
+            written = a[0].spill.bytes_written if a[0].spill else 0
+            health = a[0].step_flat(a[1], validate=True)
+            assert health.has_nan_or_inf
+            assert health.global_norm == 0.0 and not health.clip_triggered
+            assert_bitwise_twins(a[0], b[0])      # pre-step bits
+            if a[0].spill:
+                assert a[0].spill.bytes_written == written
+            a[1][1][7] = clean
+            for opt, flats in (a, b):
+                assert not opt.step_flat(flats, validate=True) \
+                    .has_nan_or_inf
+            assert_bitwise_twins(a[0], b[0])
+            assert a[0].step_count == 2
+        finally:
+            close_all(a[0], b[0])
+
+    def test_fp32_overflow_inside_the_reduce_is_caught(self):
+        """Finite per-rank gradients whose *sum* overflows fp32: the
+        check sees what Adam would consume, so this is a skip (a check
+        on a float64 mean would have passed it)."""
+        opt, flats = zero_fixture(11, SMALL, 2)
+        for f in flats:
+            f[3] = np.float32(3e38)
+        before = opt.arena.flat.copy()
+        assert opt.step_flat(flats, validate=True).has_nan_or_inf
+        np.testing.assert_array_equal(opt.arena.flat, before)
+        assert opt.step_count == 0
+
+    def test_verdict_is_independent_of_worker_count(self):
+        from repro.exec.pool import KernelPool
+
+        norms = []
+        for workers in (1, 3):
+            pool = KernelPool(workers)
+            opt, flats = zero_fixture(12, {"w": (4099,)}, 3, "pipelined",
+                                      pool=pool, bucket_elements=64)
+            try:
+                norms.append(opt.step_flat(flats, clip_norm=1e-3)
+                             .global_norm)
+            finally:
+                close_all(opt)
+                pool.shutdown()
+        assert norms[0] == norms[1]
+
+    def test_clip_norm_implies_validation(self):
+        opt, flats = zero_fixture(13, SMALL, 2)
+        health = opt.step_flat(flats, clip_norm=1e9)
+        assert health is not None and not health.clip_triggered
+
+
 class TestZeroHypothesis:
     @given(world=st.integers(min_value=1, max_value=6))
     @settings(max_examples=10, deadline=None)

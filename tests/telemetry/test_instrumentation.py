@@ -147,8 +147,10 @@ def test_dp_trainer_instrumented():
         "collective_calls_total", op="reduce_scatter"
     ).value == 3
     names = {s.name for s in telemetry.tracer.spans}
-    assert {"train_step", "fwd_bwd", "zero_step", "shard_adam",
-            "cast"} <= names
+    # the trainer's steps are validated: reduce + norm under
+    # ``grad_health``, the clip and the Adam per bucket
+    assert {"train_step", "fwd_bwd", "zero_step", "grad_health",
+            "bucket_reduce", "bucket_adam", "cast"} <= names
     steps = telemetry.tracer.spans_named("train_step")
     assert [s.attrs["iteration"] for s in steps] == [0, 1, 2]
 
