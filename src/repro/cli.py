@@ -1073,6 +1073,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
              for r in result["model_step"]],
         )
         summaries.append(_geomean_line("model_step", result["model_step"]))
+    if "elementwise" in result:
+        print_table(
+            "repro bench — GELU fwd/bwd, ns per element: two-multiply "
+            "cube vs x**3 (reference.gelu_pow / gelu_grad_pow)",
+            ["elements", "x**3 fwd/bwd", "fwd/bwd", "speedup",
+             "cv x**3/now", "max diff", "tol"] + extra_headers(),
+            [[f"{r['elements']:,}",
+              f"{r['pow_fwd_ns']:.1f}/{r['pow_bwd_ns']:.1f}",
+              f"{r['fwd_ns']:.1f}/{r['bwd_ns']:.1f}",
+              f"{r['speedup']:.1f}x", f"{r['pow_cv']:.3f}/{r['cv']:.3f}",
+              f"{r['max_abs_diff']:.1e}",
+              "ok" if r["tolerance_ok"] else "FAIL"]
+             + extra_values("elementwise", r)
+             for r in result["elementwise"]],
+        )
+        summaries.append(_geomean_line("elementwise", result["elementwise"]))
     if "spill" in result:
         print_table(
             "repro bench — disk-offloaded ZeRO: overlapped vs sync spill "
@@ -1186,7 +1202,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         (section, r)
         for section in ("zero_step", "dp_step", "rollback",
                         "parallel_step", "zero_pipeline", "attention",
-                        "model_step",
+                        "model_step", "elementwise",
                         "spill", "checkpoint")
         for r in result.get(section, [])
     ] + [

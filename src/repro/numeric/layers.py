@@ -5,13 +5,14 @@ and the upstream gradient and returns input/parameter gradients.  The
 gradients are verified against central finite differences in the tests.
 
 Every kernel takes an optional ``ws``
-(:class:`~repro.tensors.workspace.ActivationWorkspace`).  Without one the
-seed behavior is preserved verbatim — fresh allocations per call.  With
-one, outputs, caches, and large temporaries land in reused workspace
-buffers via ``out=`` variants whose operation order matches the plain
-expressions bit for bit (additions/multiplications reordered only across
-commutations and exact power-of-two scalings), so routing a model through
-a workspace changes *where* the bytes live, not what they hold.
+(:class:`~repro.tensors.workspace.ActivationWorkspace`).  Without one,
+every call allocates afresh.  With one, outputs, caches, and large
+temporaries land in reused workspace buffers, so routing a model through
+a workspace changes *where* the bytes live, not what they hold: GELU and
+cross-entropy are one ``out=`` op sequence whose buffers come from
+``take_like`` either way; ``Dense``/``LayerNorm`` keep a plain expression
+beside an ``out=`` variant whose operation order matches it bit for bit
+(reordered only across commutations and exact power-of-two scalings).
 Parameter gradients (``dw``/``db``/``dg``/``dtable``) never land in the
 workspace: they outlive the step (accumulated across micro-batches and
 ranks), which workspace buffers must not.  They are freshly allocated
@@ -28,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.tensors.workspace import ActivationWorkspace
+from repro.tensors.workspace import ActivationWorkspace, take_like
 
 Cache = Tuple
 Workspace = Optional[ActivationWorkspace]
@@ -44,48 +45,45 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x: np.ndarray, ws: Workspace = None) -> np.ndarray:
-    """GELU, tanh approximation (the GPT-2 variant)."""
-    if ws is None:
-        return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
-    t = ws.take(x.shape, x.dtype)
-    np.power(x, 3, out=t)
+def _inner_tanh(x: np.ndarray, ws: Workspace) -> np.ndarray:
+    """``tanh(c * (x + 0.044715 * x**3))`` in a buffer the caller owns.
+
+    The cube is two multiplies, associated ``(x*x)*x``: numpy fast-paths
+    only exponents 2, 0.5 and -1, so ``x**3`` / ``np.power(x, 3)`` run
+    libm ``powf`` per element (~100x slower; DESIGN "numeric slow paths").
+    """
+    t = take_like(ws, x.shape, x.dtype)
+    np.multiply(x, x, out=t)
+    t *= x
     t *= 0.044715
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
+    return t
+
+
+def gelu(x: np.ndarray, ws: Workspace = None) -> np.ndarray:
+    """GELU, tanh approximation (the GPT-2 variant)."""
+    t = _inner_tanh(x, ws)
     t += 1.0
-    out = ws.take(x.shape, x.dtype)
-    np.multiply(t, x, out=out)
-    out *= 0.5
-    ws.give(t)
-    return out
+    t *= x
+    t *= 0.5
+    return t
 
 
 def gelu_grad(x: np.ndarray, ws: Workspace = None) -> np.ndarray:
     """d gelu / dx for the tanh approximation."""
-    if ws is None:
-        inner = _GELU_C * (x + 0.044715 * x**3)
-        tanh_inner = np.tanh(inner)
-        sech2 = 1.0 - tanh_inner**2
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        return 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
-    tanh_inner = ws.take(x.shape, x.dtype)
-    np.power(x, 3, out=tanh_inner)
-    tanh_inner *= 0.044715
-    tanh_inner += x
-    tanh_inner *= _GELU_C
-    np.tanh(tanh_inner, out=tanh_inner)
-    sech2 = ws.take(x.shape, x.dtype)
+    tanh_inner = _inner_tanh(x, ws)
+    sech2 = take_like(ws, x.shape, x.dtype)
     np.multiply(tanh_inner, tanh_inner, out=sech2)
     np.subtract(1.0, sech2, out=sech2)
-    d_inner = ws.take(x.shape, x.dtype)
+    d_inner = take_like(ws, x.shape, x.dtype)
     np.multiply(x, x, out=d_inner)
     d_inner *= 3 * 0.044715
     d_inner += 1.0
     d_inner *= _GELU_C
-    # second term: ((0.5 * x) * sech2) * d_inner, associated so the 0.5
-    # scaling (exact) commutes with the two rounded multiplies
+    # second term: ((0.5 * x) * sech2) * d_inner, the 0.5 scaling (exact)
+    # applied last
     sech2 *= x
     sech2 *= d_inner
     sech2 *= 0.5
@@ -93,8 +91,9 @@ def gelu_grad(x: np.ndarray, ws: Workspace = None) -> np.ndarray:
     tanh_inner += 1.0
     tanh_inner *= 0.5
     tanh_inner += sech2
-    ws.give(sech2)
-    ws.give(d_inner)
+    if ws is not None:
+        ws.give(sech2)
+        ws.give(d_inner)
     return tanh_inner
 
 
@@ -259,22 +258,23 @@ def cross_entropy(
     flat_src = logits.reshape(-1, vocab)
     if ids.shape[0] != flat_src.shape[0]:
         raise ValueError("targets shape does not match logits")
-    if ws is None:
-        flat = flat_src.astype(np.float64)
-    else:
-        flat = ws.take(flat_src.shape, np.float64)
-        flat[...] = flat_src
-    shifted = flat - flat.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logprobs = shifted - logsumexp
+    # two fp64 planes: ``flat`` becomes the shifted logits in place, ``e``
+    # their exponentials and then, divided by its row sums, the softmax
+    flat = take_like(ws, flat_src.shape, np.float64)
+    flat[...] = flat_src
+    flat -= flat.max(axis=1, keepdims=True)
+    e = take_like(ws, flat.shape, np.float64)
+    np.exp(flat, out=e)
+    sum_e = e.sum(axis=1, keepdims=True)
     n = flat.shape[0]
-    loss = -float(logprobs[np.arange(n), ids].mean())
-    dflat = np.exp(logprobs)
-    dflat[np.arange(n), ids] -= 1.0
-    dflat /= n
-    if ws is None:
-        return loss, dflat.reshape(logits.shape).astype(logits.dtype)
-    ws.give(flat)
-    dlogits = ws.take(logits.shape, logits.dtype)
-    dlogits[...] = dflat.reshape(logits.shape)
+    rows = np.arange(n)
+    loss = -float((flat[rows, ids] - np.log(sum_e[:, 0])).mean())
+    e /= sum_e
+    e[rows, ids] -= 1.0
+    e /= n
+    dlogits = take_like(ws, logits.shape, logits.dtype)
+    dlogits[...] = e.reshape(logits.shape)
+    if ws is not None:
+        ws.give(flat)
+        ws.give(e)
     return loss, dlogits

@@ -8,11 +8,12 @@ no mode flags.  Production modules never import this one
 ``training/bench.py``, ``tune/search.py`` and the equivalence suites do.
 
 Each function names the production path that must stay bitwise (or, for
-the quantized matmul, tolerance) equal to it.
+the quantized matmul and GELU, tolerance) equal to it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,6 +75,31 @@ def grace_adam_serial(
         hi = lo + tile_size
         cpu_adam_serial(p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi],
                         config, step)
+
+
+# -- GELU ----------------------------------------------------------------
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+
+
+def gelu_pow(x: np.ndarray) -> np.ndarray:
+    """GELU (tanh approximation) with the cube spelled ``x**3``.
+
+    numpy fast-paths only exponents 2, 0.5 and -1, so this runs libm
+    ``powf`` per element.  Tolerance twin (1 ulp of x**3 apart) of
+    :func:`repro.numeric.layers.gelu` and the ``elementwise`` bench
+    baseline.
+    """
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
+
+
+def gelu_grad_pow(x: np.ndarray) -> np.ndarray:
+    """d gelu / dx over the same ``x**3``: tolerance twin of
+    :func:`repro.numeric.layers.gelu_grad`."""
+    tanh_inner = np.tanh(_GELU_C * (x + 0.044715 * x**3))
+    sech2 = 1.0 - tanh_inner**2
+    d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    return 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
 
 
 # -- quantized matmul ----------------------------------------------------

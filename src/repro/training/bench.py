@@ -37,7 +37,8 @@ asks for.  Five sections:
   streaming backend and an
   :class:`~repro.tensors.workspace.ActivationWorkspace` vs. the
   allocate-everything dense baseline, asserting steady-state workspace
-  allocations are zero.
+  allocations are zero.  Rides along: the ``elementwise`` row — GELU
+  fwd/bwd ns per element vs. :func:`repro.reference.gelu_pow`.
 * ``parallelism`` — the :class:`~repro.parallel.plan.ParallelPlan` grid:
   every TPxPPxDP factorization executed for real through
   :class:`~repro.parallel.plan.PlanModel` (equivalence-checked against
@@ -64,6 +65,7 @@ from repro import reference
 from repro.exec.pool import default_workers, get_pool
 from repro.numeric import flash
 from repro.numeric.attention import MultiHeadAttention
+from repro.numeric.layers import gelu, gelu_grad
 from repro.numeric.transformer import TinyTransformer, TransformerParams
 from repro.optim.adam import AdamConfig
 from repro.optim.implementations import GraceAdam
@@ -834,6 +836,42 @@ def _bench_model_step(
     }
 
 
+#: The MLP activation of the run-level ``train_stv_compute`` workload
+#: (batch 4, seq 128, 4 x hidden 192) — where GELU was measured.
+ELEMENTWISE_SHAPE = (4, 128, 768)
+#: ``gelu``/``gelu_grad`` vs. their ``x**3`` ancestors (the exhaustive
+#: fp32 maximum is 1.3e-6, on ``gelu_grad``).
+ELEMENTWISE_TOL = 2e-6
+
+
+def _bench_elementwise(rng: np.random.Generator, repeats: int) -> Dict:
+    """GELU forward + backward in ns per element: the two-multiply cube
+    vs. the ``x**3`` ancestors (libm ``powf`` per element), timed in
+    alternating rounds, with each arm's repeat CV and their agreement."""
+    x = rng.standard_normal(ELEMENTWISE_SHAPE, dtype=np.float32)
+    arms = (reference.gelu_pow, reference.gelu_grad_pow, gelu, gelu_grad)
+    seconds = np.empty((4 * repeats, len(arms)))
+    for row in seconds:
+        for i, arm in enumerate(arms):
+            t0 = time.perf_counter()
+            arm(x)
+            row[i] = time.perf_counter() - t0
+    pow_fwd, pow_bwd, fwd, bwd = np.median(seconds, axis=0) * 1e9 / x.size
+    pow_rounds, rounds = seconds[:, :2].sum(axis=1), seconds[:, 2:].sum(axis=1)
+    diff = max(float(np.abs(new(x) - old(x)).max())
+               for old, new in zip(arms[:2], arms[2:]))
+    return {
+        "elements": x.size,
+        "pow_fwd_ns": pow_fwd, "pow_bwd_ns": pow_bwd,
+        "fwd_ns": fwd, "bwd_ns": bwd,
+        "speedup": (pow_fwd + pow_bwd) / (fwd + bwd),
+        "pow_cv": float(pow_rounds.std() / pow_rounds.mean()),
+        "cv": float(rounds.std() / rounds.mean()),
+        "max_abs_diff": diff,
+        "tolerance_ok": diff <= ELEMENTWISE_TOL,
+    }
+
+
 def _bench_parallelism(
     rng: np.random.Generator, repeats: int, quick: bool,
 ) -> Dict:
@@ -1232,6 +1270,7 @@ def substrate_bench(
         result["model_step"] = [
             _bench_model_step(rng, s, workers, repeats) for s in seqs
         ]
+        result["elementwise"] = [_bench_elementwise(rng, repeats)]
     if "spill" in sections:
         result["spill"] = [
             _bench_spill(rng, n, n_tensors, world_size, workers, repeats)

@@ -110,6 +110,10 @@ def test_bench_writes_valid_json(tmp_path, capsys):
     steady = document["steady_state"]
     assert steady["arena_bytes_copied_per_step"] == 0.0
     assert steady["arena_bytes_aliased_per_step"] > 0
+    (gelu_row,) = document["elementwise"]
+    assert gelu_row["tolerance_ok"]
+    assert gelu_row["pow_fwd_ns"] > 0 and gelu_row["bwd_ns"] > 0
+    assert "GELU fwd/bwd" in out
 
 
 
