@@ -1045,7 +1045,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if "attention" in result:
         print_table(
             "repro bench — streaming blocked attention vs dense "
-            f"({result['workers']} workers)",
+            "(calling thread)",
             ["seq", "dense fwd (ms)", "stream fwd (ms)", "fwd speedup",
              "dense f+b (ms)", "stream f+b (ms)", "f+b speedup",
              "mem ratio", "tol", "det"] + extra_headers(),
@@ -1054,7 +1054,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
               r["streaming_step_ms"], f"{r['step_speedup']:.2f}x",
               f"{r['peak_transient_ratio']:.1f}x",
               "ok" if r["tolerance_ok"] else "FAIL",
-              "ok" if r["bitwise_across_workers"] else "MISMATCH"]
+              "ok" if r["bitwise_across_grouping"] else "MISMATCH"]
              + extra_values("attention", r)
              for r in result["attention"]],
         )
@@ -1062,7 +1062,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if "model_step" in result:
         print_table(
             "repro bench — workspace-backed streaming model step "
-            f"({result['workers']} workers)",
+            "(calling thread)",
             ["seq", "baseline (ms)", "workspace (ms)", "speedup",
              "steady allocs", "peak bytes", "tol"] + extra_headers(),
             [[r["seq"], r["baseline_ms"], r["workspace_ms"],

@@ -9,8 +9,7 @@ shared multi-worker process-default pool (`repro.exec.pool.get_pool`) —
 never "the calling thread"; pass a ``KernelPool(1)`` for that — so call
 sites need no plumbing to pick up ``repro bench --workers`` /
 ``REPRO_EXEC_WORKERS`` configuration.  The same holds for every ``pool``
-argument in the package (``numeric.flash``, the optimizers,
-``ZeroShardedAdam``).
+argument in the package (the optimizers, ``ZeroShardedAdam``).
 
 Small planes run inline: below ``min_parallel`` elements the dispatch
 round-trip (~tens of µs) exceeds the kernel itself, so the op executes
@@ -138,11 +137,18 @@ def parallel_add_scaled(
          DEFAULT_ALIGN, kernels.add_scaled_chunk, dst, src, scale)
 
 
-#: Below this many *weight* elements (k * n) the fused qmatmul runs as
-#: one inline chunk.  The guard is on the weight plane, not the output:
-#: a decode step has a tiny (m, n) output but still streams the whole
-#: int8 plane, and that traffic is what the column fan-out divides.
-QMATMUL_MIN_PARALLEL = 1 << 16
+#: Below this many *weight* elements (k * n) the fused qmatmul runs its
+#: column tiles inline on the calling thread.  The guard is on the weight
+#: plane, not the output: a decode step has a tiny (m, n) output but
+#: dequantizes the whole plane, and that work is what a fan-out could
+#: divide.  The floor is the measured crossover, not the size at which a
+#: plane stops being trivial: a tile is a few numpy calls of ~10-50 us,
+#: and Python threads only repay their hand-off on spans of hundreds of
+#: microseconds (DESIGN §8).  On the 2-vCPU PR host, inline vs two
+#: workers at m=8: 47 vs 83 us at 2^16 weight elements (the serving
+#: model's 128x512 planes), 617 vs 1114 us at 2^20, parity at 2^21
+#: (1.50 vs 1.57 ms), pool ahead 1.2-1.4x at 2^22, 1.6-1.8x at 2^24.
+QMATMUL_MIN_PARALLEL = 1 << 22
 
 
 def _usable_cpus() -> int:
@@ -166,10 +172,12 @@ def parallel_qmatmul(
     ``qt`` is a :class:`~repro.numeric.lowprec.QuantizedTensor`; the
     int8 plane is dequantized group-by-group inside
     :func:`~repro.exec.kernels.qmatmul_chunk`, never materializing the
-    fp32 weight.  Fan-out is over fixed-width output-column tiles
-    (``quant.dequant_tile``), so the tile decomposition — and therefore
-    every partial-sum order — is independent of the pool's worker count:
-    results are bitwise identical for any number of workers.
+    fp32 weight.  The product is cut into fixed-width output-column
+    tiles (``quant.dequant_tile``) that run inline below
+    ``QMATMUL_MIN_PARALLEL`` weight elements and on the pool above it;
+    the tile decomposition — and therefore every partial-sum order — is
+    independent of where the tiles run, so results are bitwise identical
+    for any dispatch and any number of workers.
 
     Args:
         x: ``(..., k)`` activations (flattened to 2-D internally).

@@ -21,8 +21,6 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable
 
-import networkx as nx
-
 from repro.hardware.bandwidth import BandwidthModel
 from repro.hardware.specs import DeviceSpec
 from repro.models.config import ModelConfig
@@ -57,9 +55,16 @@ class OpCost:
 
 
 class SADFG:
-    """A directed acyclic graph of annotated operators."""
+    """A directed acyclic graph of annotated operators.
+
+    ``networkx`` is imported by the three methods that use it: this
+    module is re-exported by :mod:`repro.models`, which every trainer and
+    simulator process imports, and none of them builds a graph.
+    """
 
     def __init__(self) -> None:
+        import networkx as nx
+
         self.graph = nx.DiGraph()
 
     def add_op(self, name: str, cost: OpCost) -> None:
@@ -72,6 +77,8 @@ class SADFG:
         """Add a dataflow edge carrying ``nbytes`` if it crosses devices."""
         if src not in self.graph or dst not in self.graph:
             raise KeyError(f"unknown endpoint in flow {src!r} -> {dst!r}")
+        import networkx as nx
+
         self.graph.add_edge(src, dst, nbytes=nbytes)
         if not nx.is_directed_acyclic_graph(self.graph):
             self.graph.remove_edge(src, dst)
@@ -79,6 +86,8 @@ class SADFG:
 
     def ops(self) -> Iterable[str]:
         """Vertex names in topological order."""
+        import networkx as nx
+
         return nx.topological_sort(self.graph)
 
     def cost_of(self, name: str) -> OpCost:

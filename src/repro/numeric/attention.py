@@ -14,9 +14,10 @@ Two backends:
   ``S x S`` probability matrix across forward -> backward (identical
   bits, half the held activation bytes).
 * ``"streaming"`` — :mod:`repro.numeric.flash`: blocked online-softmax
-  forward and tile-recompute backward that never materialize ``S x S``,
-  fanned out over the kernel pool.  Tolerance-equal to dense (the online
-  softmax reorders reductions), bitwise-stable across worker counts.
+  forward and one-pass tile-recompute backward that never materialize
+  ``S x S``, on the calling thread.  Tolerance-equal to dense (the
+  online softmax reorders reductions); a head's bits do not depend on
+  which heads share the call.
 """
 
 from __future__ import annotations
@@ -88,8 +89,6 @@ class MultiHeadAttention:
             ``None`` resolves the host-tuned values via
             :func:`repro.numeric.flash.resolve_blocks` at construction,
             pinning them for the module's lifetime.
-        pool: kernel pool for the streaming tile fan-out (``None`` uses
-            the process default).
         workspace: optional
             :class:`~repro.tensors.workspace.ActivationWorkspace` backing
             the streaming outputs, head merges, and qkv gradients.
@@ -102,7 +101,6 @@ class MultiHeadAttention:
         backend: str = "dense",
         block_q: int | None = None,
         block_k: int | None = None,
-        pool=None,
         workspace=None,
         telemetry: Telemetry = NULL_TELEMETRY,
     ):
@@ -115,7 +113,6 @@ class MultiHeadAttention:
         self.n_heads = n_heads
         self.backend = backend
         self.block_q, self.block_k = flash.resolve_blocks(block_q, block_k)
-        self.pool = pool
         self.workspace = workspace
         self.telemetry = telemetry
 
@@ -176,7 +173,7 @@ class MultiHeadAttention:
             context, cache = flash.streaming_attention_forward(
                 q, k, v, causal=causal,
                 block_q=self.block_q, block_k=self.block_k,
-                pool=self.pool, out=out, lse=lse,
+                out=out, lse=lse,
             )
             self._meter_cache(cache)
             return context, cache
@@ -196,7 +193,7 @@ class MultiHeadAttention:
                 dk = ws.take(cache.k.shape, cache.k.dtype)
                 dv = ws.take(cache.v.shape, cache.v.dtype)
             return flash.streaming_attention_backward(
-                dcontext, cache, pool=self.pool, dq=dq, dk=dk, dv=dv
+                dcontext, cache, dq=dq, dk=dk, dv=dv
             )
         return self.core_backward(dcontext, cache)
 

@@ -82,7 +82,6 @@ class TinyTransformer:
         attn_backend: ``"dense"`` (bitwise reference) or ``"streaming"``
             (blocked, never materializes ``S x S``).
         block_q, block_k: streaming attention tile sides.
-        pool: kernel pool for the streaming tile fan-out.
         telemetry: metric sink for the attention cache-byte counters.
     """
 
@@ -94,7 +93,6 @@ class TinyTransformer:
         attn_backend: str = "dense",
         block_q: Optional[int] = None,
         block_k: Optional[int] = None,
-        pool=None,
         telemetry: Telemetry = NULL_TELEMETRY,
     ):
         self.spec = spec
@@ -105,7 +103,6 @@ class TinyTransformer:
             backend=attn_backend,
             block_q=block_q,
             block_k=block_k,
-            pool=pool,
             workspace=workspace,
             telemetry=telemetry,
         )

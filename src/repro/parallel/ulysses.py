@@ -77,7 +77,6 @@ class UlyssesAttention:
             exchanges are backend-agnostic: each rank runs the chosen
             core over its full-sequence head shard.
         block_q, block_k: streaming tile sides.
-        pool: kernel pool for the streaming tile fan-out.
     """
 
     def __init__(
@@ -87,7 +86,6 @@ class UlyssesAttention:
         backend: str = "dense",
         block_q: int | None = None,
         block_k: int | None = None,
-        pool=None,
     ):
         if n_heads % group.world_size:
             raise ValueError(
@@ -95,7 +93,7 @@ class UlyssesAttention:
             )
         self.attn = MultiHeadAttention(
             n_heads, backend=backend, block_q=block_q, block_k=block_k,
-            pool=pool, telemetry=group.telemetry,
+            telemetry=group.telemetry,
         )
         self.group = group
 

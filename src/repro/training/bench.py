@@ -676,7 +676,7 @@ def _bench_checkpoint(
 
 
 def _bench_attention(
-    rng: np.random.Generator, seq: int, workers: int, repeats: int,
+    rng: np.random.Generator, seq: int, repeats: int,
     heads: int = 4, head_dim: int = 32, batch: int = 2,
     block_q: int = flash.DEFAULT_BLOCK_Q,
     block_k: int = flash.DEFAULT_BLOCK_K,
@@ -686,16 +686,16 @@ def _bench_attention(
     Both contestants compute causal attention over identical inputs.
     The dense path materializes the score matrix (and softmax
     temporaries of the same size); the streaming path's transients are
-    the per-worker tile scratch plus the ``(out, lse)`` it returns, so
-    the recorded ``peak_transient_ratio`` is the activation-memory win
-    and the ``*_speedup`` columns are the time win (upper-triangle
-    tiles are never computed, and every temporary stays cache-sized).
+    the calling thread's tile scratch plus the ``(out, lse)`` it
+    returns, so the recorded ``peak_transient_ratio`` is the
+    activation-memory win and the ``*_speedup`` columns are the time win
+    (upper-triangle tiles are never computed, and every temporary stays
+    cache-sized).
     """
     q = rng.standard_normal((batch, heads, seq, head_dim), dtype=np.float32)
     k = rng.standard_normal((batch, heads, seq, head_dim), dtype=np.float32)
     v = rng.standard_normal((batch, heads, seq, head_dim), dtype=np.float32)
     dout = rng.standard_normal(q.shape, dtype=np.float32)
-    pool = get_pool(workers)
     out = np.empty_like(q)
     lse = np.empty(q.shape[:3], dtype=q.dtype)
     dq, dk, dv = (np.empty_like(q) for _ in range(3))
@@ -703,14 +703,12 @@ def _bench_attention(
     def stream_fwd():
         return flash.streaming_attention_forward(
             q, k, v, causal=True, block_q=block_q, block_k=block_k,
-            pool=pool, out=out, lse=lse,
+            out=out, lse=lse,
         )
 
     def stream_fwd_bwd():
         _, cache = stream_fwd()
-        flash.streaming_attention_backward(
-            dout, cache, pool=pool, dq=dq, dk=dk, dv=dv
-        )
+        flash.streaming_attention_backward(dout, cache, dq=dq, dk=dk, dv=dv)
 
     def dense_fwd():
         return MultiHeadAttention.core_forward(q, k, v, True)
@@ -719,22 +717,32 @@ def _bench_attention(
         _, cache = dense_fwd()
         MultiHeadAttention.core_backward(dout, cache)
 
-    # correctness first: tolerance vs. dense, bitwise across worker counts
+    # correctness first: tolerance vs. dense, bitwise across head grouping
     ref, ref_cache = dense_fwd()
     got, got_cache = stream_fwd()
     fwd_diff = float(np.abs(got - ref).max())
     rdq, rdk, rdv = MultiHeadAttention.core_backward(dout, ref_cache)
     sdq, sdk, sdv = flash.streaming_attention_backward(
-        dout, got_cache, pool=pool, dq=dq, dk=dk, dv=dv
+        dout, got_cache, dq=dq, dk=dk, dv=dv
     )
     bwd_diff = max(
         float(np.abs(a - b).max())
         for a, b in ((sdq, rdq), (sdk, rdk), (sdv, rdv))
     )
-    inline_out, _ = flash.streaming_attention_forward(
-        q, k, v, causal=True, block_q=block_q, block_k=block_k
-    )
-    bitwise_across_workers = np.array_equal(got, inline_out)
+    bitwise_across_grouping = True
+    for b, h in itertools.product(range(batch), range(heads)):
+        one = (slice(b, b + 1), slice(h, h + 1))
+        solo_out, solo_cache = flash.streaming_attention_forward(
+            q[one], k[one], v[one], causal=True,
+            block_q=block_q, block_k=block_k,
+        )
+        solo = (solo_out,) + flash.streaming_attention_backward(
+            dout[one], solo_cache
+        )
+        bitwise_across_grouping &= all(
+            np.array_equal(alone, grouped[one])
+            for alone, grouped in zip(solo, (got, sdq, sdk, sdv))
+        )
     tolerance_ok = (
         fwd_diff <= ATTENTION_FWD_TOL and bwd_diff <= ATTENTION_BWD_TOL
     )
@@ -744,11 +752,12 @@ def _bench_attention(
     dense_step_s, stream_step_s = _time_interleaved(
         [dense_fwd_bwd, stream_fwd_bwd], repeats
     )
-    pool.shutdown()
     dense_transient = batch * heads * seq * seq * 4  # one S x S fp32 plane
+    bq, bk = min(block_q, seq), min(block_k, seq)
+    group = flash.group_size(batch * heads, bq, bk, head_dim)
     streaming_transient = (
         out.nbytes + lse.nbytes
-        + workers * flash.tile_scratch_bytes(block_q, block_k, head_dim)
+        + flash.tile_scratch_bytes(bq, bk, head_dim, group=group)
     )
     return {
         "seq": seq,
@@ -757,7 +766,6 @@ def _bench_attention(
         "head_dim": head_dim,
         "block_q": block_q,
         "block_k": block_k,
-        "workers": workers,
         "dense_fwd_ms": dense_fwd_s * 1e3,
         "streaming_fwd_ms": stream_fwd_s * 1e3,
         "fwd_speedup": dense_fwd_s / stream_fwd_s,
@@ -769,7 +777,7 @@ def _bench_attention(
         "fwd_max_abs_diff": fwd_diff,
         "bwd_max_abs_diff": bwd_diff,
         "tolerance_ok": tolerance_ok,
-        "bitwise_across_workers": bitwise_across_workers,
+        "bitwise_across_grouping": bitwise_across_grouping,
         "dense_transient_bytes": dense_transient,
         "streaming_transient_bytes": streaming_transient,
         "peak_transient_ratio": dense_transient / streaming_transient,
@@ -777,8 +785,7 @@ def _bench_attention(
 
 
 def _bench_model_step(
-    rng: np.random.Generator, seq: int, workers: int, repeats: int,
-    batch: int = 2,
+    rng: np.random.Generator, seq: int, repeats: int, batch: int = 2,
 ) -> Dict[str, float]:
     """Workspace-backed streaming model step vs. the dense baseline.
 
@@ -797,9 +804,8 @@ def _bench_model_step(
     baseline = TinyTransformer(spec, seed=0)
     telemetry = Telemetry()
     ws = ActivationWorkspace(telemetry=telemetry)
-    pool = get_pool(workers)
     contender = TinyTransformer(
-        spec, seed=0, workspace=ws, attn_backend="streaming", pool=pool,
+        spec, seed=0, workspace=ws, attn_backend="streaming",
         telemetry=telemetry,
     )
     loss_base, grads_base = baseline.loss_and_grads(ids, targets)  # warm up
@@ -817,13 +823,11 @@ def _bench_model_step(
          lambda: contender.loss_and_grads(ids, targets)],
         repeats,
     )
-    pool.shutdown()
     return {
         "seq": seq,
         "batch": batch,
         "hidden": spec.hidden,
         "n_layers": spec.n_layers,
-        "workers": workers,
         "baseline_ms": base_s * 1e3,
         "workspace_ms": ws_s * 1e3,
         "speedup": base_s / ws_s,
@@ -1263,12 +1267,12 @@ def substrate_bench(
     if "attention" in sections:
         seqs = QUICK_ATTENTION_SEQS if quick else ATTENTION_SEQS
         result["attention"] = [
-            _bench_attention(rng, s, workers, repeats) for s in seqs
+            _bench_attention(rng, s, repeats) for s in seqs
         ]
     if "model_step" in sections:
         seqs = QUICK_MODEL_STEP_SEQS if quick else MODEL_STEP_SEQS
         result["model_step"] = [
-            _bench_model_step(rng, s, workers, repeats) for s in seqs
+            _bench_model_step(rng, s, repeats) for s in seqs
         ]
         result["elementwise"] = [_bench_elementwise(rng, repeats)]
     if "spill" in sections:

@@ -1,17 +1,21 @@
 """Streaming blocked attention vs. the dense reference.
 
-The contract under test (ISSUE 5 / DESIGN §9): streaming agrees with
-dense to fp32 tolerance (NOT bitwise — the online softmax reorders the
-reduction), is bitwise identical across worker counts, never
-materializes an ``S x S`` array, and slots into the Ulysses shard path
-and the workspace-backed transformer unchanged.
+The contract under test (DESIGN §9): streaming agrees with dense to
+fp32 tolerance (NOT bitwise — the online softmax reorders the
+reduction), gives each head the same bits whichever heads share its
+call, visits every tile pair once per direction, never materializes an
+``S x S`` array, and slots into the Ulysses shard path and the
+workspace-backed transformer unchanged.
 """
+
+import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exec.pool import KernelPool
 from repro.numeric import flash
 from repro.numeric.attention import (
     BACKENDS,
@@ -37,6 +41,32 @@ def _qkv(rng, b, h, sq, sk, d):
 
 def _max_grad_diff(got, ref):
     return max(float(np.abs(a - b).max()) for a, b in zip(got, ref))
+
+
+def _fwd_bwd(q, k, v, dout, **kwargs):
+    """(out, lse, dq, dk, dv) of one streaming forward + backward."""
+    out, cache = flash.streaming_attention_forward(q, k, v, **kwargs)
+    return (out, cache.lse) + flash.streaming_attention_backward(dout, cache)
+
+
+def _in_thread(fn):
+    """Run ``fn`` on a fresh thread (fresh tile scratch); return its
+    result, re-raising anything it raised."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # re-raised on the caller below
+            box["error"] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
 
 
 class TestForwardAgainstDense:
@@ -86,21 +116,31 @@ class TestForwardAgainstDense:
 class TestBackwardAgainstDense:
     @given(
         seq=st.integers(min_value=1, max_value=48),
-        block=st.integers(min_value=1, max_value=50),
+        extra_k=st.integers(min_value=0, max_value=9),
+        block_q=st.integers(min_value=1, max_value=60),
+        block_k=st.integers(min_value=1, max_value=60),
         causal=st.booleans(),
+        dtype=st.sampled_from([np.float32, np.float64]),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_gradients_tolerance(self, seq, block, causal):
-        rng = np.random.default_rng(seq * 100 + block)
-        q, k, v = _qkv(rng, 1, 2, seq, seq, 8)
-        dout = rng.standard_normal(q.shape).astype(np.float32)
+    @settings(max_examples=60, deadline=None)
+    def test_gradients_tolerance(self, seq, extra_k, block_q, block_k,
+                                 causal, dtype):
+        """The one-pass backward against ``core_backward``: both mask
+        modes, ``seq_q < seq_k``, block sides of 1, larger than the
+        sequence and not dividing it, fp32 and fp64."""
+        rng = np.random.default_rng(seq * 100 + block_q + 7 * block_k)
+        q, k, v = (x.astype(dtype)
+                   for x in _qkv(rng, 1, 2, seq, seq + extra_k, 8))
+        dout = rng.standard_normal(q.shape).astype(dtype)
         _, ref_cache = MultiHeadAttention.core_forward(q, k, v, causal)
         ref = MultiHeadAttention.core_backward(dout, ref_cache)
         _, cache = flash.streaming_attention_forward(
-            q, k, v, causal=causal, block_q=block, block_k=block
+            q, k, v, causal=causal, block_q=block_q, block_k=block_k
         )
         got = flash.streaming_attention_backward(dout, cache)
-        assert _max_grad_diff(got, ref) <= BWD_TOL
+        assert all(g.dtype == dtype for g in got)
+        tol = BWD_TOL if dtype == np.float32 else 1e-12
+        assert _max_grad_diff(got, ref) <= tol
 
     def test_gradients_match_finite_difference(self, rng):
         """Direct gradcheck, independent of the dense implementation."""
@@ -122,69 +162,169 @@ class TestBackwardAgainstDense:
                 fd = float(((up - dn) * dout).sum() / (2 * eps))
                 assert abs(fd - grad[idx]) <= tol * max(1.0, abs(fd))
 
-
-class TestWorkerDeterminism:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_bitwise_across_worker_counts(self, rng, workers):
-        """Every tile has one writer and a fixed reduction order, so the
-        fan-out width cannot change a single bit."""
-        q, k, v = _qkv(rng, 2, 4, 37, 37, 8)
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_dirty_output_buffers_are_overwritten(self, rng, causal):
+        """Workspace buffers arrive holding the last step's bytes: every
+        element of dq/dk/dv is rewritten, including the keys no causal
+        query reaches (exact zeros)."""
+        q, k, v = _qkv(rng, 2, 2, 19, 31, 8)
         dout = rng.standard_normal(q.shape).astype(np.float32)
-        out1, cache1 = flash.streaming_attention_forward(
-            q, k, v, block_q=8, block_k=8, pool=None
+        _, cache = flash.streaming_attention_forward(
+            q, k, v, causal=causal, block_q=8, block_k=5
         )
-        grads1 = flash.streaming_attention_backward(dout, cache1)
-        pool = KernelPool(workers)
+        clean = flash.streaming_attention_backward(dout, cache)
+        dirty = [np.full_like(x, np.nan) for x in (q, k, v)]
+        got = flash.streaming_attention_backward(
+            dout, cache, dq=dirty[0], dk=dirty[1], dv=dirty[2]
+        )
+        for buf, g, c in zip(dirty, got, clean):
+            assert g is buf
+            assert np.array_equal(g, c)
+        if causal:
+            assert not got[1][:, :, 19:].any() and not got[2][:, :, 19:].any()
+
+    def test_rejects_non_contiguous_outputs(self, rng):
+        q, k, v = _qkv(rng, 1, 2, 8, 8, 4)
+        strided = np.empty((1, 2, 8, 8), dtype=np.float32)[..., ::2]
+        with pytest.raises(ValueError, match="contiguous"):
+            flash.streaming_attention_forward(q, k, v, out=strided)
+
+
+class _CountingNumpy:
+    """``numpy`` with ``exp`` calls on stacked tiles counted."""
+
+    def __init__(self):
+        self.exp_tiles = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.exp_tiles += x.ndim == 3
+        return np.exp(x, *args, **kwargs)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_each_tile_pair_is_recomputed_once(self, rng, monkeypatch,
+                                               causal):
+        """Backward rebuilds one probability tile per (query-tile,
+        key-tile) pair — the same count the forward visits — not one per
+        pair per gradient."""
+        seq_q, seq_k, bq, bk = 37, 45, 8, 16
+        q, k, v = _qkv(rng, 2, 2, seq_q, seq_k, 8)
+        dout = rng.standard_normal(q.shape).astype(np.float32)
+        pairs = sum(
+            math.ceil((min(seq_k, q0 + bq, seq_q) if causal else seq_k) / bk)
+            for q0 in range(0, seq_q, bq)
+        )
+        counting = _CountingNumpy()
+        monkeypatch.setattr(flash, "np", counting)
+        _, cache = flash.streaming_attention_forward(
+            q, k, v, causal=causal, block_q=bq, block_k=bk
+        )
+        assert counting.exp_tiles == pairs  # all four heads in one group
+        flash.streaming_attention_backward(dout, cache)
+        assert counting.exp_tiles == 2 * pairs
+
+
+class TestGroupingInvariance:
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_bitwise_across_head_grouping(self, rng, monkeypatch, causal):
+        """A head's out/lse/dq/dk/dv do not depend on which heads share
+        its numpy calls: each head alone, all heads together, and any
+        group budget in between agree bit for bit — what Ulysses and TP
+        head sharding rely on."""
+        for shape, blocks in (((2, 4, 37, 8), 8), ((1, 5, 200, 16), 128)):
+            b, h, seq, d = shape
+            q, k, v = _qkv(rng, b, h, seq, seq, d)
+            dout = rng.standard_normal(q.shape).astype(np.float32)
+            kwargs = dict(causal=causal, block_q=blocks, block_k=blocks)
+            together = _fwd_bwd(q, k, v, dout, **kwargs)
+            per_head = flash.tile_scratch_bytes(
+                min(blocks, seq), min(blocks, seq), d)
+            for budget in (1, 2 * per_head, 3 * per_head):
+                with monkeypatch.context() as patch:
+                    patch.setattr(flash, "GROUP_SCRATCH_BYTES", budget)
+                    grouped = _fwd_bwd(q, k, v, dout, **kwargs)
+                for a, g in zip(grouped, together):
+                    assert np.array_equal(a, g), budget
+            for bi in range(b):
+                for hi in range(h):
+                    one = (slice(bi, bi + 1), slice(hi, hi + 1))
+                    alone = _fwd_bwd(q[one], k[one], v[one], dout[one],
+                                     **kwargs)
+                    for a, g in zip(alone, together):
+                        assert np.array_equal(a, g[one]), (bi, hi)
+
+
+class TestThreads:
+    def test_concurrent_callers_have_private_scratch(self, rng):
+        """The kernel runs on whichever thread calls it; two callers at
+        once each use their own tile scratch, and both get the serial
+        result bit for bit."""
+        cases = []
+        for _ in range(2):
+            q, k, v = _qkv(rng, 1, 3, 56, 56, 8)
+            dout = rng.standard_normal(q.shape).astype(np.float32)
+            cases.append((q, k, v, dout))
+        kwargs = dict(block_q=16, block_k=8)
+        serial = [_fwd_bwd(*case, **kwargs) for case in cases]
+        solo_bytes = flash.scratch_bytes_total()
+        _in_thread(lambda: _fwd_bwd(*cases[0], **kwargs))
+        solo_bytes = flash.scratch_bytes_total() - solo_bytes
+
+        results = [None, None]
+        start = threading.Barrier(2)
+
+        def worker(i):
+            start.wait(timeout=30)
+            for _ in range(20):
+                results[i] = _fwd_bwd(*cases[i], **kwargs)
+
+        before = flash.scratch_bytes_total()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            outn, cachen = flash.streaming_attention_forward(
-                q, k, v, block_q=8, block_k=8, pool=pool
-            )
-            gradsn = flash.streaming_attention_backward(
-                dout, cachen, pool=pool
-            )
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
         finally:
-            pool.shutdown()
-        assert np.array_equal(out1, outn)
-        assert np.array_equal(cache1.lse, cachen.lse)
-        for a, b in zip(grads1, gradsn):
-            assert np.array_equal(a, b)
+            sys.setswitchinterval(interval)
+        for got, ref in zip(results, serial):
+            for a, r in zip(got, ref):
+                assert np.array_equal(a, r)
+        # Each fresh thread allocated what a lone fresh thread does.
+        assert flash.scratch_bytes_total() - before == 2 * solo_bytes
 
 
 class TestMemoryFootprint:
     def test_scratch_stays_within_tile_bound(self, rng):
-        """Steady-state tile scratch is O(block), not O(S) — re-running
-        the same shapes allocates nothing, and the per-thread total sits
-        under the documented bound (far below any S x S plane)."""
-        seq, d, bq, bk = 96, 8, 16, 16
-        q, k, v = _qkv(rng, 1, 2, seq, seq, d)
+        """Tile scratch is O(group * block), not O(S): a fresh thread's
+        first step allocates no more than the documented bound for its
+        head group (far below any S x S plane), and re-running the same
+        shapes allocates nothing."""
+        seq, d, bq, bk, heads = 96, 8, 16, 16, 2
+        q, k, v = _qkv(rng, 1, heads, seq, seq, d)
         dout = rng.standard_normal(q.shape).astype(np.float32)
 
-        # pool=None would be the shared multi-worker default pool, where
-        # which worker first sees a scratch key depends on scheduling; a
-        # one-worker pool runs every tile on the calling thread.
-        pool = KernelPool(1)
+        def steps():
+            grown = []
+            for _ in range(3):
+                before = flash.scratch_bytes_total()
+                _fwd_bwd(q, k, v, dout, block_q=bq, block_k=bk)
+                grown.append(flash.scratch_bytes_total() - before)
+            return grown
 
-        def step():
-            _, cache = flash.streaming_attention_forward(
-                q, k, v, block_q=bq, block_k=bk, pool=pool
-            )
-            flash.streaming_attention_backward(dout, cache, pool=pool)
-            return flash.scratch_bytes_total()
-
-        try:
-            # Warm until the process-global counter is at a fixed point.
-            before = step()
-            for _ in range(8):
-                after = step()
-                if after == before:
-                    break
-                before = after
-            assert step() == before
-        finally:
-            pool.shutdown()
-        # This thread's share of the global total is bounded by the
-        # per-thread tile bound, which is itself far below one S x S.
-        assert flash.tile_scratch_bytes(bq, bk, d) < seq * seq * 4
+        first, *steady = _in_thread(steps)
+        bound = flash.tile_scratch_bytes(bq, bk, d, group=heads)
+        assert 0 < first <= bound
+        assert steady == [0, 0]
+        assert bound < seq * seq * 4
 
     def test_workspace_peak_is_linear_not_quadratic(self, rng):
         """A workspace-backed streaming attention holds O(B*H*S*d)
@@ -194,7 +334,7 @@ class TestMemoryFootprint:
         ws = ActivationWorkspace()
         attn = MultiHeadAttention(
             h, backend="streaming", block_q=16, block_k=16,
-            workspace=ws, pool=None,
+            workspace=ws,
         )
         qkv = rng.standard_normal((b, seq, 3 * hidden)).astype(np.float32)
         out, cache = attn.forward(qkv)
@@ -215,7 +355,7 @@ class TestBackendDispatch:
         dout = rng.standard_normal((2, 21, 24)).astype(np.float32)
         dense = MultiHeadAttention(4)
         stream = MultiHeadAttention(
-            4, backend="streaming", block_q=8, block_k=8, pool=None
+            4, backend="streaming", block_q=8, block_k=8
         )
         ref, ref_cache = dense.forward(qkv)
         got, got_cache = stream.forward(qkv)
@@ -268,7 +408,6 @@ class TestUlyssesStreaming:
         group = SimProcessGroup(world)
         ua = UlyssesAttention(
             heads, group, backend="streaming", block_q=8, block_k=8,
-            pool=None,
         )
         shard = seq // world
         shards = [qkv[:, r * shard : (r + 1) * shard] for r in range(world)]

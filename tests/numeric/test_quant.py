@@ -17,7 +17,7 @@ The contracts under test:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import repro.exec.ops as ops
 from repro.exec.ops import parallel_qmatmul
@@ -35,6 +35,14 @@ from repro.reference import qmatmul_reference
 
 def _weights(rng, rows, cols, scale=0.1):
     return (scale * rng.standard_normal((rows, cols))).astype(np.float32)
+
+
+def _sum_magnitude(x, qt, bias=None):
+    """``|x| @ |dequant(w)| (+ |bias|)``: the size of the terms each
+    output sums.  A reassociated fp32 sum moves by ulps of *this*, not of
+    the output, which can cancel to nothing."""
+    magnitude = np.abs(x) @ np.abs(qt.dequantize())
+    return magnitude if bias is None else magnitude + np.abs(bias)
 
 
 # -- round-trip bound ----------------------------------------------------
@@ -102,6 +110,7 @@ def test_cast_roundtrip_error_ignores_nonfinite():
     group_size=st.sampled_from([8, 64, 128]),
     seed=st.integers(0, 2**16),
 )
+@example(m=1, k=191, n=1, group_size=8, seed=1351)  # output cancels to 6.5e-5
 @settings(max_examples=30, deadline=None)
 def test_qmatmul_matches_reference(m, k, n, group_size, seed):
     rng = np.random.default_rng(seed)
@@ -111,8 +120,7 @@ def test_qmatmul_matches_reference(m, k, n, group_size, seed):
     qt = QuantizedTensor(*quantize_int8_blocked(w, group_size), group_size)
     got = parallel_qmatmul(x, qt, bias, tile=16)
     ref = qmatmul_reference(x, qt, bias)
-    scale = float(np.abs(ref).max()) + 1e-9
-    assert float(np.abs(got - ref).max()) / scale <= 1e-4
+    assert np.all(np.abs(got - ref) <= 1e-4 * _sum_magnitude(x, qt, bias))
 
 
 def test_qmatmul_within_analytic_bound_of_exact():
@@ -189,10 +197,10 @@ def test_qmatmul_tiles_agree_within_tolerance():
     x = rng.standard_normal((3, 128)).astype(np.float32)
     qt = QuantizedTensor(*quantize_int8_blocked(w, 32), 32)
     ref = parallel_qmatmul(x, qt, tile=64)
-    scale = float(np.abs(ref).max()) + 1e-9
+    magnitude = _sum_magnitude(x, qt)
     for tile in (8, 16, 48):
         got = parallel_qmatmul(x, qt, tile=tile)
-        assert float(np.abs(got - ref).max()) / scale <= 1e-5
+        assert np.all(np.abs(got - ref) <= 1e-5 * magnitude)
 
 
 # -- packed store --------------------------------------------------------
