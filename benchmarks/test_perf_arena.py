@@ -19,7 +19,8 @@ repo root, and asserts the acceptance bars:
   (fwd+bwd) at the guard sequence length, within fp32 tolerance of dense
   and bitwise independent of head grouping at every size;
 * the workspace-backed model step allocates zero workspace buffers in
-  steady state and stays tolerance-equal to the dense baseline.
+  steady state and stays tolerance-equal to the same model without a
+  workspace.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ def test_arena_substrate_perf():
          for r in result["attention"]],
     )
     print_table(
-        "BENCH_substrate — workspace-backed streaming model step "
-        "(calling thread)",
+        "BENCH_substrate — model step with vs without the activation "
+        "workspace (calling thread)",
         ["seq", "baseline (ms)", "workspace (ms)", "speedup",
          "steady allocs", "peak bytes"],
         [[r["seq"], r["baseline_ms"], r["workspace_ms"],

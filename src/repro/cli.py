@@ -1061,14 +1061,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         summaries.append(_geomean_line("attention", result["attention"]))
     if "model_step" in result:
         print_table(
-            "repro bench — workspace-backed streaming model step "
-            "(calling thread)",
-            ["seq", "baseline (ms)", "workspace (ms)", "speedup",
-             "steady allocs", "peak bytes", "tol"] + extra_headers(),
+            "repro bench — model step with vs without the activation "
+            "workspace (calling thread)",
+            ["seq", "no workspace (ms)", "workspace (ms)", "speedup",
+             "steady allocs", "peak bytes", "tol", "bitwise"]
+            + extra_headers(),
             [[r["seq"], r["baseline_ms"], r["workspace_ms"],
               f"{r['speedup']:.2f}x", r["steady_allocs_per_step"],
               f"{r['workspace_peak_bytes']:,}",
-              "ok" if r["tolerance_ok"] else "FAIL"]
+              "ok" if r["tolerance_ok"] else "FAIL",
+              "yes" if r["bitwise"] else "no"]
              + extra_values("model_step", r)
              for r in result["model_step"]],
         )

@@ -16,12 +16,7 @@ from repro.numeric.layers import (
     gelu_grad,
     softmax,
 )
-from repro.numeric.attention import (
-    BACKENDS,
-    MultiHeadAttention,
-    causal_mask,
-    masked_fill_value,
-)
+from repro.numeric.attention import MultiHeadAttention
 from repro.numeric.flash import (
     FlashCache,
     streaming_attention_backward,
@@ -30,9 +25,6 @@ from repro.numeric.flash import (
 from repro.numeric.transformer import TinyTransformer, TransformerParams
 
 __all__ = [
-    "BACKENDS",
-    "causal_mask",
-    "masked_fill_value",
     "FlashCache",
     "streaming_attention_forward",
     "streaming_attention_backward",

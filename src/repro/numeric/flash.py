@@ -1,7 +1,7 @@
 """Flash-style streaming blocked attention: never materialize ``S x S``.
 
-The dense reference (:mod:`repro.numeric.attention`) computes the full
-score and probability matrices — ``O(B*H*S^2)`` activation bytes, the
+The dense oracle (:func:`repro.reference.dense_attention_forward`)
+computes the full score and probability matrices — ``O(B*H*S^2)`` activation bytes, the
 exact memory wall that caps sequence length on the Hopper side of the
 superchip and that the Ulysses path (§4.7) exists to push past.  This
 module streams the same attention in ``(block_q, block_k)`` tiles, each

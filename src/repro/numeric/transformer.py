@@ -10,9 +10,9 @@ The model step can run allocation-free: pass an
 :class:`~repro.tensors.workspace.ActivationWorkspace` and every
 activation, backward temporary, and attention cache is served from
 reused shape-keyed buffers (zero workspace allocations after the first
-step), and ``attn_backend="streaming"`` routes attention through the
-blocked online-softmax kernel (:mod:`repro.numeric.flash`) that never
-materializes the ``S x S`` score matrix.  Parameter *gradients* never
+step).  Attention always runs the blocked online-softmax kernel
+(:mod:`repro.numeric.flash`), which never materializes the ``S x S``
+score matrix.  Parameter *gradients* never
 live in the workspace — they outlive the step: they are freshly
 allocated, or written straight into caller-owned buffers when
 ``loss_and_grads(..., grads_out=)`` names them (the data-parallel
@@ -22,6 +22,13 @@ Workspace lifetime contract: each ``forward`` recycles the previous
 step's buffers, so a workspace-backed model must pair every ``forward``
 with its ``backward`` (as :meth:`loss_and_grads` does) before the next
 forward begins.
+
+One block spelling: :meth:`TinyTransformer.block_forward` /
+:meth:`~TinyTransformer.block_backward` are the whole per-layer math
+and :meth:`~TinyTransformer.head_forward` / ``head_backward`` the final
+LayerNorm + LM head; ``forward``/``backward`` call them, and so does
+the 1F1B pipeline (:mod:`repro.parallel.pipeline`) per stage, which is
+what makes it bitwise equal to the unpipelined model.
 """
 
 from __future__ import annotations
@@ -44,6 +51,11 @@ from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.tensors.workspace import ActivationWorkspace
 
 Params = Dict[str, np.ndarray]
+
+
+def _out(grads_out: Params | None, name: str) -> Optional[np.ndarray]:
+    """The caller's destination buffer for gradient ``name``, if any."""
+    return None if grads_out is None else grads_out[name]
 
 
 @dataclass(frozen=True)
@@ -79,8 +91,6 @@ class TinyTransformer:
         seed: parameter-initialization seed (fully deterministic).
         workspace: optional activation workspace; when given, the whole
             model step reuses its buffers across layers and steps.
-        attn_backend: ``"dense"`` (bitwise reference) or ``"streaming"``
-            (blocked, never materializes ``S x S``).
         block_q, block_k: streaming attention tile sides.
         telemetry: metric sink for the attention cache-byte counters.
     """
@@ -90,7 +100,6 @@ class TinyTransformer:
         spec: TransformerParams,
         seed: int = 0,
         workspace: Optional[ActivationWorkspace] = None,
-        attn_backend: str = "dense",
         block_q: Optional[int] = None,
         block_k: Optional[int] = None,
         telemetry: Telemetry = NULL_TELEMETRY,
@@ -100,7 +109,6 @@ class TinyTransformer:
         self.telemetry = telemetry
         self.attn = MultiHeadAttention(
             spec.n_heads,
-            backend=attn_backend,
             block_q=block_q,
             block_k=block_k,
             workspace=workspace,
@@ -163,154 +171,147 @@ class TinyTransformer:
         caches: List = []
         x, tok_cache = Embedding.forward(ids, p["tok_emb"], ws)
         x += p["pos_emb"][:s][None, :, :]
-        caches.append(("embed", tok_cache, s))
-        streaming_ws = ws is not None and self.attn.backend == "streaming"
+        caches.append((tok_cache, s))
         for i in range(self.spec.n_layers):
-            ln1, ln1_cache = LayerNorm.forward(
-                x, p[f"h{i}.ln1.g"], p[f"h{i}.ln1.b"], ws
-            )
-            qkv, qkv_cache = Dense.forward(
-                ln1, p[f"h{i}.qkv.w"], p[f"h{i}.qkv.b"], ws
-            )
-            attn_out, attn_cache = self.attn.forward(qkv)
-            if streaming_ws:
-                # The streaming cache holds contiguous per-head copies,
-                # not views into qkv, so the fused projection buffer can
-                # be recycled immediately (the dense cache aliases it).
-                ws.give(qkv)
-            proj, proj_cache = Dense.forward(
-                attn_out, p[f"h{i}.proj.w"], p[f"h{i}.proj.b"], ws
-            )
-            if ws is None:
-                x = x + proj
-            else:
-                res = ws.take(x.shape, x.dtype)
-                np.add(x, proj, out=res)
-                ws.give(x)
-                ws.give(proj)
-                x = res
-            ln2, ln2_cache = LayerNorm.forward(
-                x, p[f"h{i}.ln2.g"], p[f"h{i}.ln2.b"], ws
-            )
-            fc1, fc1_cache = Dense.forward(
-                ln2, p[f"h{i}.fc1.w"], p[f"h{i}.fc1.b"], ws
-            )
-            act = gelu(fc1, ws)
-            fc2, fc2_cache = Dense.forward(
-                act, p[f"h{i}.fc2.w"], p[f"h{i}.fc2.b"], ws
-            )
-            if ws is None:
-                x = x + fc2
-            else:
-                res = ws.take(x.shape, x.dtype)
-                np.add(x, fc2, out=res)
-                ws.give(x)
-                ws.give(fc2)
-                x = res
-            caches.append(
-                (
-                    "block",
-                    i,
-                    ln1_cache,
-                    qkv_cache,
-                    attn_cache,
-                    proj_cache,
-                    ln2_cache,
-                    fc1_cache,
-                    fc1,
-                    fc2_cache,
-                )
-            )
+            x, cache = self.block_forward(i, x, p)
+            caches.append(cache)
+        logits, head_cache = self.head_forward(x, p)
+        caches.append(head_cache)
+        return logits, caches
+
+    # -- one transformer block, and the head ----------------------------------
+
+    def _residual(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``x + y``; with a workspace, into a recycled buffer that frees
+        both operands."""
+        ws = self.workspace
+        if ws is None:
+            return x + y
+        res = ws.take(x.shape, x.dtype)
+        np.add(x, y, out=res)
+        ws.give(x)
+        ws.give(y)
+        return res
+
+    def block_forward(
+        self, i: int, x: np.ndarray, p: Params
+    ) -> Tuple[np.ndarray, tuple]:
+        """Block ``i`` (pre-LN attention + GELU MLP, both residual) over
+        ``(batch, seq, hidden)`` activations; returns (output, cache for
+        :meth:`block_backward`)."""
+        ws = self.workspace
+        ln1, ln1_cache = LayerNorm.forward(
+            x, p[f"h{i}.ln1.g"], p[f"h{i}.ln1.b"], ws
+        )
+        qkv, qkv_cache = Dense.forward(
+            ln1, p[f"h{i}.qkv.w"], p[f"h{i}.qkv.b"], ws
+        )
+        attn_out, attn_cache = self.attn.forward(qkv)
+        if ws is not None:
+            # The attention cache holds contiguous per-head copies, not
+            # views into qkv, so the fused buffer is free already.
+            ws.give(qkv)
+        proj, proj_cache = Dense.forward(
+            attn_out, p[f"h{i}.proj.w"], p[f"h{i}.proj.b"], ws
+        )
+        x = self._residual(x, proj)
+        ln2, ln2_cache = LayerNorm.forward(
+            x, p[f"h{i}.ln2.g"], p[f"h{i}.ln2.b"], ws
+        )
+        fc1, fc1_cache = Dense.forward(
+            ln2, p[f"h{i}.fc1.w"], p[f"h{i}.fc1.b"], ws
+        )
+        act = gelu(fc1, ws)
+        fc2, fc2_cache = Dense.forward(
+            act, p[f"h{i}.fc2.w"], p[f"h{i}.fc2.b"], ws
+        )
+        x = self._residual(x, fc2)
+        return x, (
+            ln1_cache, qkv_cache, attn_cache, proj_cache, ln2_cache,
+            fc1_cache, fc1, fc2_cache,
+        )
+
+    def block_backward(
+        self,
+        i: int,
+        cache: tuple,
+        dx: np.ndarray,
+        grads: Params,
+        grads_out: Params | None = None,
+    ) -> np.ndarray:
+        """Backward of :meth:`block_forward`: accumulates into ``dx`` in
+        place and returns it, storing block ``i``'s parameter gradients
+        in ``grads`` (written into ``grads_out``'s buffers when given)."""
+        ws = self.workspace
+        (ln1_cache, qkv_cache, attn_cache, proj_cache, ln2_cache,
+         fc1_cache, fc1, fc2_cache) = cache
+
+        def out(name: str) -> Optional[np.ndarray]:
+            return _out(grads_out, f"h{i}.{name}")
+
+        dfc2, grads[f"h{i}.fc2.w"], grads[f"h{i}.fc2.b"] = Dense.backward(
+            dx, fc2_cache, ws, out("fc2.w"), out("fc2.b")
+        )
+        dact = gelu_grad(fc1, ws)
+        dact *= dfc2
+        dln2, grads[f"h{i}.fc1.w"], grads[f"h{i}.fc1.b"] = Dense.backward(
+            dact, fc1_cache, ws, out("fc1.w"), out("fc1.b")
+        )
+        dres, grads[f"h{i}.ln2.g"], grads[f"h{i}.ln2.b"] = LayerNorm.backward(
+            dln2, ln2_cache, ws, out("ln2.g"), out("ln2.b")
+        )
+        dx += dres
+        dproj, grads[f"h{i}.proj.w"], grads[f"h{i}.proj.b"] = Dense.backward(
+            dx, proj_cache, ws, out("proj.w"), out("proj.b")
+        )
+        dqkv = self.attn.backward(dproj, attn_cache)
+        dln1, grads[f"h{i}.qkv.w"], grads[f"h{i}.qkv.b"] = Dense.backward(
+            dqkv, qkv_cache, ws, out("qkv.w"), out("qkv.b")
+        )
+        dres1, grads[f"h{i}.ln1.g"], grads[f"h{i}.ln1.b"] = LayerNorm.backward(
+            dln1, ln1_cache, ws, out("ln1.g"), out("ln1.b")
+        )
+        dx += dres1
+        if ws is not None:
+            for buf in (dfc2, dact, dln2, dres, dproj, dqkv, dln1, dres1):
+                ws.give(buf)
+        return dx
+
+    def head_forward(
+        self, x: np.ndarray, p: Params
+    ) -> Tuple[np.ndarray, tuple]:
+        """Final LayerNorm + LM head over the last block's output;
+        returns (logits, cache for :meth:`head_backward`)."""
+        ws = self.workspace
         lnf, lnf_cache = LayerNorm.forward(x, p["ln_f.g"], p["ln_f.b"], ws)
         if ws is not None:
             ws.give(x)
-        logits, head_cache = Dense.forward(lnf, p["head.w"], p["head.b"], ws)
-        caches.append(("final", lnf_cache, head_cache))
-        return logits, caches
+        logits, dense_cache = Dense.forward(lnf, p["head.w"], p["head.b"], ws)
+        return logits, (lnf_cache, dense_cache)
 
-    # -- incremental decode ---------------------------------------------------
-
-    def decode_step(
+    def head_backward(
         self,
-        ids: np.ndarray,
-        kv,
-        session: int,
-        params: Params | None = None,
-        linear=None,
-        embed=None,
+        dlogits: np.ndarray,
+        cache: tuple,
+        grads: Params,
+        grads_out: Params | None = None,
     ) -> np.ndarray:
-        """Incremental forward of new tokens for one session.
-
-        The per-session reference decode path: K/V for the new tokens
-        is appended to a :class:`~repro.tensors.kvcache.PagedKVCache`
-        and attention runs against the paged history via online softmax,
-        so a prompt prefill (``len(ids) > 1``) and a single-token decode
-        are the same code path.  A full-sequence :meth:`forward` over
-        the concatenated history produces the same last-token logits up
-        to fp32 summation order (the serving tests hold this line).
-
-        Args:
-            ids: 1-D new token ids (whole prompt for prefill, one token
-                per decode step).
-            kv: the paged cache holding this session's history.
-            session: session id within ``kv``.
-            params: parameter set (defaults to the model's own).
-            linear: optional override ``linear(name, x) -> x @ w + b``
-                for the five weight planes (``h{i}.qkv`` / ``h{i}.proj``
-                / ``h{i}.fc1`` / ``h{i}.fc2`` / ``head``) — the hook the
-                quantized serving engine injects ``qmatmul`` through.
-            embed: optional override ``embed(ids) -> (t, hidden)`` token
-                embedding gather (quantized-embedding hook).
-
-        Returns:
-            fp32 ``(vocab,)`` logits of the **last** new token.
-        """
-        from repro.tensors.kvcache import paged_attention
-
-        p = params if params is not None else self.params
-        if linear is None:
-            def linear(name: str, x: np.ndarray) -> np.ndarray:
-                return x @ p[f"{name}.w"] + p[f"{name}.b"]
-        if embed is None:
-            def embed(ids: np.ndarray) -> np.ndarray:
-                return p["tok_emb"][ids]
-        ids = np.asarray(ids).reshape(-1)
-        t = ids.shape[0]
-        past = kv.tokens(session)
-        if past + t > self.spec.max_seq:
-            raise ValueError(
-                f"session {session} at {past}+{t} tokens exceeds "
-                f"max_seq {self.spec.max_seq}"
-            )
-        heads = self.spec.n_heads
-        h = self.spec.hidden
-        d = h // heads
-        x = embed(ids) + p["pos_emb"][past:past + t]
-        for i in range(self.spec.n_layers):
-            ln1, _ = LayerNorm.forward(
-                x, p[f"h{i}.ln1.g"], p[f"h{i}.ln1.b"], None
-            )
-            qkv = linear(f"h{i}.qkv", ln1)
-            q, k, v = (
-                a.reshape(t, heads, d).transpose(1, 0, 2)
-                for a in np.split(qkv, 3, axis=-1)
-            )
-            kv.append(session, i, np.ascontiguousarray(k),
-                      np.ascontiguousarray(v))
-            attn = paged_attention(
-                np.ascontiguousarray(q), kv.iter_pages(session, i), past
-            )
-            merged = attn.transpose(1, 0, 2).reshape(t, h)
-            x = x + linear(f"h{i}.proj", merged)
-            ln2, _ = LayerNorm.forward(
-                x, p[f"h{i}.ln2.g"], p[f"h{i}.ln2.b"], None
-            )
-            fc1 = linear(f"h{i}.fc1", ln2)
-            x = x + linear(f"h{i}.fc2", gelu(fc1, None))
-        lnf, _ = LayerNorm.forward(
-            x[-1:], p["ln_f.g"], p["ln_f.b"], None
+        """Backward of :meth:`head_forward`; returns the gradient w.r.t.
+        the last block's output."""
+        ws = self.workspace
+        lnf_cache, dense_cache = cache
+        dlnf, grads["head.w"], grads["head.b"] = Dense.backward(
+            dlogits, dense_cache, ws,
+            _out(grads_out, "head.w"), _out(grads_out, "head.b"),
         )
-        return linear("head", lnf)[0]
+        dx, grads["ln_f.g"], grads["ln_f.b"] = LayerNorm.backward(
+            dlnf, lnf_cache, ws,
+            _out(grads_out, "ln_f.g"), _out(grads_out, "ln_f.b"),
+        )
+        if ws is not None:
+            ws.give(dlogits)
+            ws.give(dlnf)
+        return dx
 
     # -- loss + backward --------------------------------------------------------
 
@@ -366,63 +367,10 @@ class TinyTransformer:
         """
         ws = self.workspace
         grads: Params = {}
-
-        def out(name: str) -> Optional[np.ndarray]:
-            return None if grads_out is None else grads_out[name]
-
-        kind, lnf_cache, head_cache = caches[-1]
-        if kind != "final":
-            raise RuntimeError("corrupt cache stack")
-        dlnf, grads["head.w"], grads["head.b"] = Dense.backward(
-            dlogits, head_cache, ws, out("head.w"), out("head.b")
-        )
-        dx, grads["ln_f.g"], grads["ln_f.b"] = LayerNorm.backward(
-            dlnf, lnf_cache, ws, out("ln_f.g"), out("ln_f.b")
-        )
-        if ws is not None:
-            ws.give(dlogits)
-            ws.give(dlnf)
-        for cache in reversed(caches[1:-1]):
-            (
-                _kind,
-                i,
-                ln1_cache,
-                qkv_cache,
-                attn_cache,
-                proj_cache,
-                ln2_cache,
-                fc1_cache,
-                fc1,
-                fc2_cache,
-            ) = cache
-            dfc2, grads[f"h{i}.fc2.w"], grads[f"h{i}.fc2.b"] = Dense.backward(
-                dx, fc2_cache, ws, out(f"h{i}.fc2.w"), out(f"h{i}.fc2.b")
-            )
-            dact = gelu_grad(fc1, ws)
-            dact *= dfc2
-            dln2, grads[f"h{i}.fc1.w"], grads[f"h{i}.fc1.b"] = Dense.backward(
-                dact, fc1_cache, ws, out(f"h{i}.fc1.w"), out(f"h{i}.fc1.b")
-            )
-            dres, grads[f"h{i}.ln2.g"], grads[f"h{i}.ln2.b"] = LayerNorm.backward(
-                dln2, ln2_cache, ws, out(f"h{i}.ln2.g"), out(f"h{i}.ln2.b")
-            )
-            dx += dres
-            dproj, grads[f"h{i}.proj.w"], grads[f"h{i}.proj.b"] = Dense.backward(
-                dx, proj_cache, ws, out(f"h{i}.proj.w"), out(f"h{i}.proj.b")
-            )
-            dqkv = self.attn.backward(dproj, attn_cache)
-            dln1, grads[f"h{i}.qkv.w"], grads[f"h{i}.qkv.b"] = Dense.backward(
-                dqkv, qkv_cache, ws, out(f"h{i}.qkv.w"), out(f"h{i}.qkv.b")
-            )
-            dres1, grads[f"h{i}.ln1.g"], grads[f"h{i}.ln1.b"] = LayerNorm.backward(
-                dln1, ln1_cache, ws, out(f"h{i}.ln1.g"), out(f"h{i}.ln1.b")
-            )
-            dx += dres1
-            if ws is not None:
-                for buf in (dfc2, dact, dln2, dres, dproj, dqkv, dln1,
-                            dres1):
-                    ws.give(buf)
-        _kind, tok_cache, s = caches[0]
+        dx = self.head_backward(dlogits, caches[-1], grads, grads_out)
+        for i in reversed(range(self.spec.n_layers)):
+            dx = self.block_backward(i, caches[1 + i], dx, grads, grads_out)
+        tok_cache, s = caches[0]
         if grads_out is None:
             grads["pos_emb"] = np.zeros_like(self.params["pos_emb"])
             grads["pos_emb"][:s] = dx.sum(axis=0)
@@ -430,7 +378,9 @@ class TinyTransformer:
             grads["pos_emb"] = grads_out["pos_emb"]
             dx.sum(axis=0, out=grads["pos_emb"][:s])
             grads["pos_emb"][s:] = 0
-        grads["tok_emb"] = Embedding.backward(dx, tok_cache, out("tok_emb"))
+        grads["tok_emb"] = Embedding.backward(
+            dx, tok_cache, _out(grads_out, "tok_emb")
+        )
         if ws is not None:
             ws.give(dx)
         if grads_out is not None:

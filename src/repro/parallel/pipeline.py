@@ -35,14 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.numeric.layers import (
-    Dense,
-    Embedding,
-    LayerNorm,
-    cross_entropy,
-    gelu,
-    gelu_grad,
-)
+from repro.numeric.layers import Embedding, LayerNorm, cross_entropy
 from repro.numeric.transformer import Params, TinyTransformer
 from repro.parallel.comm import SimProcessGroup
 from repro.parallel.tensor import (
@@ -190,11 +183,12 @@ class PipelinedTransformer:
 
     One pipeline rank per stage (``group.world_size`` stages).  The first
     stage owns the embeddings, the last owns ``ln_f`` and the LM head;
-    blocks partition by :func:`partition_layers`.  Stage-local math
-    replicates the unsharded model's op sequence exactly when ``tp == 1``
-    and routes through the tensor-parallel executors when a ``tp_group``
-    is attached (the TPxPP composition: every stage's blocks shard
-    across the TP group).
+    blocks partition by :func:`partition_layers`.  With ``tp == 1`` every
+    block and the head run the unsharded model's own methods
+    (``block_forward``/``block_backward``, ``head_forward``/
+    ``head_backward``); with a ``tp_group`` they route through the
+    tensor-parallel executors (the TPxPP composition: every stage's
+    blocks shard across the TP group).
 
     Args:
         model: the unsharded reference; must not carry an activation
@@ -204,7 +198,6 @@ class PipelinedTransformer:
         balance: layers shifted off the final stage (defaults to the
             ``pp.stage_balance`` tunable).
         tp_group: optional tensor-parallel communicator.
-        backend: attention core for the TP path.
     """
 
     def __init__(
@@ -213,7 +206,6 @@ class PipelinedTransformer:
         group: SimProcessGroup,
         balance: Optional[int] = None,
         tp_group: Optional[SimProcessGroup] = None,
-        backend: str = "dense",
     ):
         if model.workspace is not None:
             raise ValueError(
@@ -244,7 +236,7 @@ class PipelinedTransformer:
                     spec.hidden, spec.n_heads,
                     p[f"h{i}.qkv.w"], p[f"h{i}.qkv.b"],
                     p[f"h{i}.proj.w"], p[f"h{i}.proj.b"],
-                    tp_group, backend=backend,
+                    tp_group,
                 )
                 mlp = TensorParallelMLP(
                     p[f"h{i}.fc1.w"], p[f"h{i}.fc1.b"],
@@ -264,79 +256,31 @@ class PipelinedTransformer:
     # -- stage-local math ---------------------------------------------------
 
     def _block_forward(self, i: int, x: np.ndarray) -> Tuple[np.ndarray, tuple]:
-        """One transformer block — the unsharded model's ops verbatim
-        (``tp == 1``) or the TP executors."""
+        """One transformer block — the unsharded model's own
+        :meth:`~TinyTransformer.block_forward` (``tp == 1``) or the TP
+        executors."""
         p = self.model.params
+        if self.tp == 1:
+            return self.model.block_forward(i, x, p)
+        attn, mlp = self.tp_blocks[i]
         ln1, ln1_cache = LayerNorm.forward(
             x, p[f"h{i}.ln1.g"], p[f"h{i}.ln1.b"]
         )
-        if self.tp == 1:
-            qkv, qkv_cache = Dense.forward(
-                ln1, p[f"h{i}.qkv.w"], p[f"h{i}.qkv.b"]
-            )
-            attn_out, attn_cache = self.model.attn.forward(qkv)
-            proj, proj_cache = Dense.forward(
-                attn_out, p[f"h{i}.proj.w"], p[f"h{i}.proj.b"]
-            )
-        else:
-            attn, _ = self.tp_blocks[i]
-            outs, attn_cache = attn.forward([ln1] * self.tp)
-            proj = outs[0]
-            qkv_cache = proj_cache = None
-        x = x + proj
+        outs, attn_cache = attn.forward([ln1] * self.tp)
+        x = x + outs[0]
         ln2, ln2_cache = LayerNorm.forward(
             x, p[f"h{i}.ln2.g"], p[f"h{i}.ln2.b"]
         )
-        if self.tp == 1:
-            fc1, fc1_cache = Dense.forward(
-                ln2, p[f"h{i}.fc1.w"], p[f"h{i}.fc1.b"]
-            )
-            act = gelu(fc1)
-            fc2, fc2_cache = Dense.forward(
-                act, p[f"h{i}.fc2.w"], p[f"h{i}.fc2.b"]
-            )
-            x = x + fc2
-            mlp_cache = (fc1_cache, fc1, fc2_cache)
-        else:
-            _, mlp = self.tp_blocks[i]
-            mlp_out, mlp_cache = mlp.forward([ln2] * self.tp)
-            x = x + mlp_out[0]
-        return x, (
-            ln1_cache, qkv_cache, attn_cache, proj_cache, ln2_cache,
-            mlp_cache,
-        )
+        mlp_out, mlp_cache = mlp.forward([ln2] * self.tp)
+        x = x + mlp_out[0]
+        return x, (ln1_cache, attn_cache, ln2_cache, mlp_cache)
 
     def _block_backward(
         self, i: int, cache: tuple, dx: np.ndarray, grads: Params
     ) -> np.ndarray:
-        (ln1_cache, qkv_cache, attn_cache, proj_cache, ln2_cache,
-         mlp_cache) = cache
         if self.tp == 1:
-            fc1_cache, fc1, fc2_cache = mlp_cache
-            dfc2, grads[f"h{i}.fc2.w"], grads[f"h{i}.fc2.b"] = Dense.backward(
-                dx, fc2_cache
-            )
-            dact = gelu_grad(fc1)
-            dact *= dfc2
-            dln2, grads[f"h{i}.fc1.w"], grads[f"h{i}.fc1.b"] = Dense.backward(
-                dact, fc1_cache
-            )
-            dres, grads[f"h{i}.ln2.g"], grads[f"h{i}.ln2.b"] = (
-                LayerNorm.backward(dln2, ln2_cache)
-            )
-            dx += dres
-            dproj, grads[f"h{i}.proj.w"], grads[f"h{i}.proj.b"] = (
-                Dense.backward(dx, proj_cache)
-            )
-            dqkv = self.model.attn.backward(dproj, attn_cache)
-            dln1, grads[f"h{i}.qkv.w"], grads[f"h{i}.qkv.b"] = Dense.backward(
-                dqkv, qkv_cache
-            )
-            dres1, grads[f"h{i}.ln1.g"], grads[f"h{i}.ln1.b"] = (
-                LayerNorm.backward(dln1, ln1_cache)
-            )
-            dx += dres1
-            return dx
+            return self.model.block_backward(i, cache, dx, grads)
+        ln1_cache, attn_cache, ln2_cache, mlp_cache = cache
         attn, mlp = self.tp_blocks[i]
         dmlp, mlp_sharded, db2 = mlp.backward([dx] * self.tp, mlp_cache)
         (grads[f"h{i}.fc1.w"], grads[f"h{i}.fc1.b"],
@@ -393,19 +337,17 @@ class PipelinedTransformer:
         if s != last:
             self._caches[(s, j)] = (tok_cache, seq, block_caches, None)
             return x, None
-        lnf, lnf_cache = LayerNorm.forward(x, p["ln_f.g"], p["ln_f.b"])
         if self.tp == 1:
-            logits, head_cache = Dense.forward(
-                lnf, p["head.w"], p["head.b"]
-            )
+            logits, head_cache = self.model.head_forward(x, p)
         else:
-            logits_r, head_cache = self.tp_head.forward([lnf] * self.tp)
-            logits = logits_r[0]
+            lnf, lnf_cache = LayerNorm.forward(x, p["ln_f.g"], p["ln_f.b"])
+            logits_r, tp_cache = self.tp_head.forward([lnf] * self.tp)
+            logits, head_cache = logits_r[0], (lnf_cache, tp_cache)
         loss, dlogits = cross_entropy(logits, targets)
         if loss_scale != 1.0:
             dlogits *= np.float32(loss_scale)
         self._caches[(s, j)] = (
-            tok_cache, seq, block_caches, (lnf_cache, head_cache, dlogits),
+            tok_cache, seq, block_caches, (head_cache, dlogits),
         )
         return None, loss
 
@@ -421,21 +363,19 @@ class PipelinedTransformer:
         grads: Params = {}
         tok_cache, seq, block_caches, final = self._caches.pop((s, j))
         if s == self.n_stages - 1:
-            lnf_cache, head_cache, dlogits = final
+            head_cache, dlogits = final
             if self.tp == 1:
-                dlnf, grads["head.w"], grads["head.b"] = Dense.backward(
-                    dlogits, head_cache
-                )
+                dx = self.model.head_backward(dlogits, head_cache, grads)
             else:
+                lnf_cache, tp_cache = head_cache
                 dlnf_r, dw_head, db_head = self.tp_head.backward(
-                    [dlogits] * self.tp, head_cache
+                    [dlogits] * self.tp, tp_cache
                 )
                 grads["head.w"] = self.tp_head.full_weight_grad(dw_head)
                 grads["head.b"] = self.tp_head.full_bias_grad(db_head)
-                dlnf = dlnf_r[0]
-            dx, grads["ln_f.g"], grads["ln_f.b"] = LayerNorm.backward(
-                dlnf, lnf_cache
-            )
+                dx, grads["ln_f.g"], grads["ln_f.b"] = LayerNorm.backward(
+                    dlnf_r[0], lnf_cache
+                )
         else:
             assert dy is not None
             dx = dy

@@ -230,7 +230,6 @@ class PlanModel:
             the model's telemetry).
         n_microbatches: 1F1B microbatch count when ``pp > 1`` (defaults
             to the ``pp.microbatches`` tunable).
-        backend: attention core for the sharded paths.
     """
 
     def __init__(
@@ -239,7 +238,6 @@ class PlanModel:
         plan: ParallelPlan,
         groups: Optional[PlanGroups] = None,
         n_microbatches: Optional[int] = None,
-        backend: str = "dense",
     ):
         plan.validate_model(model.spec)
         if plan.pp > 1 and model.workspace is not None:
@@ -254,7 +252,6 @@ class PlanModel:
             else plan.build_groups(model.telemetry)
         )
         self.n_microbatches = n_microbatches
-        self._backend = backend
         self._executor = self._build_executor(model)
         self._last_executor = self._executor
 
@@ -264,13 +261,11 @@ class PlanModel:
             return PipelinedTransformer(
                 model, groups.pp_group,
                 tp_group=groups.tp_group if plan.tp > 1 else None,
-                backend=self._backend,
             )
         if plan.tp > 1:
             return TensorParallelTransformer(
                 model, groups.tp_group,
                 sp_group=groups.sp_group if plan.sp > 1 else None,
-                backend=self._backend,
             )
         return None
 

@@ -415,7 +415,6 @@ class TensorParallelAttention:
         proj_w, proj_b: full output projection ``(h, h)`` / ``(h,)``.
         tp_group: the tensor-parallel communicator.
         sp_group: optional sequence-parallel communicator (Ulysses).
-        backend: per-shard attention core (``"dense"``/``"streaming"``).
     """
 
     def __init__(
@@ -428,7 +427,6 @@ class TensorParallelAttention:
         proj_b: np.ndarray,
         tp_group: SimProcessGroup,
         sp_group: Optional[SimProcessGroup] = None,
-        backend: str = "dense",
     ):
         if hidden % n_heads:
             raise ValueError(
@@ -446,13 +444,10 @@ class TensorParallelAttention:
         self.proj = RowParallelLinear(proj_w, proj_b, tp_group)
         if sp_group is not None and sp_group.world_size > 1:
             # Ulysses validates heads_per_rank % sp with its own error.
-            self.attn: object = UlyssesAttention(
-                self.heads_per_rank, sp_group, backend=backend
-            )
+            self.attn: object = UlyssesAttention(self.heads_per_rank, sp_group)
         else:
             self.attn = MultiHeadAttention(
-                self.heads_per_rank, backend=backend,
-                telemetry=tp_group.telemetry,
+                self.heads_per_rank, telemetry=tp_group.telemetry
             )
 
     def forward(
@@ -620,7 +615,6 @@ class TensorParallelTransformer:
         model: TinyTransformer,
         group: SimProcessGroup,
         sp_group: Optional[SimProcessGroup] = None,
-        backend: str = "dense",
     ):
         spec = model.spec
         shard_extent(spec.hidden, group.world_size, "hidden width")
@@ -638,7 +632,7 @@ class TensorParallelTransformer:
                 spec.hidden, spec.n_heads,
                 p[f"h{i}.qkv.w"], p[f"h{i}.qkv.b"],
                 p[f"h{i}.proj.w"], p[f"h{i}.proj.b"],
-                group, sp_group=sp_group, backend=backend,
+                group, sp_group=sp_group,
             )
             mlp = TensorParallelMLP(
                 p[f"h{i}.fc1.w"], p[f"h{i}.fc1.b"],

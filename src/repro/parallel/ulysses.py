@@ -4,8 +4,10 @@ Input activations are sharded along the *sequence* dimension.  Around each
 attention block, an all-to-all re-shards to the *head* dimension so every
 rank sees the full sequence for its subset of heads (attention needs global
 sequence context), computes standard attention, and a second all-to-all
-restores sequence sharding.  The tests assert the two-exchange pipeline is
-exactly equivalent to single-rank attention.
+restores sequence sharding.  Each rank runs the one streaming attention
+core over its full-sequence head shard; because a head's bits do not
+depend on which heads share a kernel call, the tests assert the
+two-exchange pipeline is bitwise equal to single-rank attention.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ class UlyssesAttention:
     Args:
         n_heads: total attention heads (must divide by world size).
         group: the communicator.
-        backend: per-rank attention core — ``"dense"`` (bitwise
-            reference) or ``"streaming"`` (blocked online-softmax).  The
-            exchanges are backend-agnostic: each rank runs the chosen
-            core over its full-sequence head shard.
         block_q, block_k: streaming tile sides.
     """
 
@@ -83,7 +81,6 @@ class UlyssesAttention:
         self,
         n_heads: int,
         group: SimProcessGroup,
-        backend: str = "dense",
         block_q: int | None = None,
         block_k: int | None = None,
     ):
@@ -92,7 +89,7 @@ class UlyssesAttention:
                 f"heads {n_heads} must divide across {group.world_size} ranks"
             )
         self.attn = MultiHeadAttention(
-            n_heads, backend=backend, block_q=block_q, block_k=block_k,
+            n_heads, block_q=block_q, block_k=block_k,
             telemetry=group.telemetry,
         )
         self.group = group

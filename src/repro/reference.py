@@ -8,17 +8,19 @@ no mode flags.  Production modules never import this one
 ``training/bench.py``, ``tune/search.py`` and the equivalence suites do.
 
 Each function names the production path that must stay bitwise (or, for
-the quantized matmul and GELU, tolerance) equal to it.
+the quantized matmul, GELU and attention, tolerance) equal to it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exec import kernels
+from repro.numeric.layers import softmax
 from repro.optim.adam import AdamConfig
 from repro.optim.mixed_precision import (
     GradientHealth,
@@ -100,6 +102,66 @@ def gelu_grad_pow(x: np.ndarray) -> np.ndarray:
     sech2 = 1.0 - tanh_inner**2
     d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
     return 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
+
+
+# -- attention -----------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def causal_mask(seq_q: int, seq_k: int) -> np.ndarray:
+    """The memoized upper-triangular ``(seq_q, seq_k)`` causal mask
+    (read-only)."""
+    mask = np.triu(np.ones((seq_q, seq_k), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
+def masked_fill_value(dtype) -> np.ndarray:
+    """Half the most negative finite value of ``dtype``: a masked score
+    that underflows to exactly zero probability without overflowing fp16
+    (where ``-1e9`` is already infinite)."""
+    return np.asarray(np.finfo(np.dtype(dtype)).min / 2, dtype=dtype)
+
+
+def _dense_probs(q: np.ndarray, k: np.ndarray, causal: bool) -> np.ndarray:
+    """The full probability matrix, shared by forward and the backward
+    recomputation so both produce identical bits."""
+    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(q.shape[-1])
+    if causal:
+        scores = np.where(
+            causal_mask(*scores.shape[-2:]),
+            masked_fill_value(scores.dtype),
+            scores,
+        )
+    return softmax(scores, axis=-1)
+
+
+def dense_attention_forward(
+    q: np.ndarray, k: np.ndarray, v: np.ndarray, causal: bool = True
+) -> Tuple[np.ndarray, Tuple]:
+    """Scaled dot-product attention over ``(b, heads, s, d)`` that
+    materializes the ``S x S`` score and probability matrices.
+
+    Tolerance twin of :meth:`repro.numeric.attention.MultiHeadAttention.
+    attend` (the streaming kernel reorders the softmax reduction) and the
+    ``attention`` bench baseline.  The cache is ``(q, k, v, causal)``.
+    """
+    return _dense_probs(q, k, causal) @ v, (q, k, v, causal)
+
+
+def dense_attention_backward(
+    dcontext: np.ndarray, cache: Tuple
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients w.r.t. q, k, v with the probabilities recomputed:
+    tolerance twin of ``MultiHeadAttention.attend_backward``."""
+    q, k, v, causal = cache
+    probs = _dense_probs(q, k, causal)
+    dv = probs.transpose(0, 1, 3, 2) @ dcontext
+    dprobs = dcontext @ v.transpose(0, 1, 3, 2)
+    # softmax backward: dS = P * (dP - sum(dP * P))
+    dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
+    dscores = dscores / math.sqrt(q.shape[-1])
+    return dscores @ k, dscores.transpose(0, 1, 3, 2) @ q, dv
 
 
 # -- quantized matmul ----------------------------------------------------

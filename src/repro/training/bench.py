@@ -30,14 +30,15 @@ asks for.  Five sections:
   (``pipeline=True``) vs. the serial zero-copy ``step_flat``, also
   bitwise-checked.
 * ``attention`` — blocked online-softmax streaming attention
-  (:mod:`repro.numeric.flash`) vs. the dense ``S x S`` reference, forward
+  (:mod:`repro.numeric.flash`) vs. the dense ``S x S`` reference
+  (:func:`repro.reference.dense_attention_forward`), forward
   and forward+backward, with the fp32 tolerance check and the
   peak-transient-bytes ratio folded into the measurement.
-* ``model_step`` — a full transformer ``loss_and_grads`` with the
-  streaming backend and an
-  :class:`~repro.tensors.workspace.ActivationWorkspace` vs. the
-  allocate-everything dense baseline, asserting steady-state workspace
-  allocations are zero.  Rides along: the ``elementwise`` row — GELU
+* ``model_step`` — a full transformer ``loss_and_grads`` with an
+  :class:`~repro.tensors.workspace.ActivationWorkspace` vs. the same
+  model allocating every activation fresh, asserting steady-state
+  workspace allocations are zero and reporting whether the two agree
+  bit for bit.  Rides along: the ``elementwise`` row — GELU
   fwd/bwd ns per element vs. :func:`repro.reference.gelu_pow`.
 * ``parallelism`` — the :class:`~repro.parallel.plan.ParallelPlan` grid:
   every TPxPPxDP factorization executed for real through
@@ -64,7 +65,6 @@ import numpy as np
 from repro import reference
 from repro.exec.pool import default_workers, get_pool
 from repro.numeric import flash
-from repro.numeric.attention import MultiHeadAttention
 from repro.numeric.layers import gelu, gelu_grad
 from repro.numeric.transformer import TinyTransformer, TransformerParams
 from repro.optim.adam import AdamConfig
@@ -681,7 +681,8 @@ def _bench_attention(
     block_q: int = flash.DEFAULT_BLOCK_Q,
     block_k: int = flash.DEFAULT_BLOCK_K,
 ) -> Dict[str, float]:
-    """Streaming blocked attention vs. the dense ``S x S`` reference.
+    """Streaming blocked attention vs. the dense ``S x S`` reference
+    (:func:`repro.reference.dense_attention_forward`).
 
     Both contestants compute causal attention over identical inputs.
     The dense path materializes the score matrix (and softmax
@@ -711,17 +712,17 @@ def _bench_attention(
         flash.streaming_attention_backward(dout, cache, dq=dq, dk=dk, dv=dv)
 
     def dense_fwd():
-        return MultiHeadAttention.core_forward(q, k, v, True)
+        return reference.dense_attention_forward(q, k, v, True)
 
     def dense_fwd_bwd():
         _, cache = dense_fwd()
-        MultiHeadAttention.core_backward(dout, cache)
+        reference.dense_attention_backward(dout, cache)
 
     # correctness first: tolerance vs. dense, bitwise across head grouping
     ref, ref_cache = dense_fwd()
     got, got_cache = stream_fwd()
     fwd_diff = float(np.abs(got - ref).max())
-    rdq, rdk, rdv = MultiHeadAttention.core_backward(dout, ref_cache)
+    rdq, rdk, rdv = reference.dense_attention_backward(dout, ref_cache)
     sdq, sdk, sdv = flash.streaming_attention_backward(
         dout, got_cache, dq=dq, dk=dk, dv=dv
     )
@@ -787,13 +788,12 @@ def _bench_attention(
 def _bench_model_step(
     rng: np.random.Generator, seq: int, repeats: int, batch: int = 2,
 ) -> Dict[str, float]:
-    """Workspace-backed streaming model step vs. the dense baseline.
+    """Workspace-backed model step vs. the same model without one.
 
-    The baseline is the seed configuration — dense attention, a fresh
-    allocation for every activation and backward temporary.  The
-    contestant routes the same ``loss_and_grads`` through an
-    :class:`ActivationWorkspace` and the streaming attention backend.
-    ``steady_allocs_per_step`` counts workspace allocations on a
+    The baseline allocates every activation and backward temporary
+    fresh; the contestant routes the same ``loss_and_grads`` through an
+    :class:`ActivationWorkspace`, so the row measures the workspace
+    alone.  ``steady_allocs_per_step`` counts workspace allocations on a
     post-warm-up step; the allocation-free claim is that it is zero.
     """
     spec = TransformerParams(
@@ -805,8 +805,7 @@ def _bench_model_step(
     telemetry = Telemetry()
     ws = ActivationWorkspace(telemetry=telemetry)
     contender = TinyTransformer(
-        spec, seed=0, workspace=ws, attn_backend="streaming",
-        telemetry=telemetry,
+        spec, seed=0, workspace=ws, telemetry=telemetry
     )
     loss_base, grads_base = baseline.loss_and_grads(ids, targets)  # warm up
     loss_ws, grads_ws = contender.loss_and_grads(ids, targets)
@@ -814,6 +813,9 @@ def _bench_model_step(
     loss_diff = abs(loss_ws - loss_base)
     grad_diff = max(
         float(np.abs(grads_base[k] - grads_ws[k]).max()) for k in grads_base
+    )
+    bitwise = loss_ws == loss_base and all(
+        np.array_equal(grads_base[k], grads_ws[k]) for k in grads_base
     )
     allocs_before = ws.alloc_count
     contender.loss_and_grads(ids, targets)
@@ -834,6 +836,7 @@ def _bench_model_step(
         "loss_abs_diff": loss_diff,
         "grad_max_abs_diff": grad_diff,
         "tolerance_ok": loss_diff <= 1e-5 and grad_diff <= ATTENTION_BWD_TOL,
+        "bitwise": bitwise,
         "steady_allocs_per_step": steady_allocs,
         "workspace_peak_bytes": ws.peak_bytes,
         "workspace_reuse_count": ws.reuse_count,

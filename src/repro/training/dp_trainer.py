@@ -67,8 +67,6 @@ class DataParallelTrainer:
         seed: model initialization seed.
         telemetry: span/metric sink shared with the communicator and the
             sharded optimizer (no-op by default).
-        attn_backend: attention core for the per-rank model — ``"dense"``
-            (bitwise seed-equivalent, default) or ``"streaming"``.
         use_workspace: back the per-rank forward/backward with an
             :class:`~repro.tensors.workspace.ActivationWorkspace`.  Safe
             across the rank loop because a rank's gradients never live
@@ -106,7 +104,6 @@ class DataParallelTrainer:
         clip_norm: float | None = None,
         seed: int = 0,
         telemetry: Telemetry | None = None,
-        attn_backend: str = "dense",
         use_workspace: bool = False,
         pipeline: bool = False,
         bucket_elements: int | None = None,
@@ -145,7 +142,6 @@ class DataParallelTrainer:
             spec,
             seed=seed,
             workspace=self.workspace,
-            attn_backend=attn_backend,
             telemetry=self.telemetry,
         )
         self.group = SimProcessGroup(world_size, telemetry=self.telemetry)
@@ -153,8 +149,7 @@ class DataParallelTrainer:
         # Each replica's forward/backward runs through the plan's
         # model-parallel axes; the rank loop below stays the DP axis.
         self.plan_model = (
-            PlanModel(self.model, plan, n_microbatches=n_microbatches,
-                      backend=attn_backend)
+            PlanModel(self.model, plan, n_microbatches=n_microbatches)
             if plan is not None and (plan.tp > 1 or plan.pp > 1)
             else None
         )

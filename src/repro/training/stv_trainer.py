@@ -94,8 +94,11 @@ class STVTrainer:
         seed: data/model seed.
         telemetry: span/metric sink threaded down into the engine (no-op
             by default).
-        attn_backend: attention core for the model — ``"dense"``
-            (bitwise seed-equivalent, default) or ``"streaming"``.
+        attn_backend: must be ``"streaming"``, the one attention core
+            (:mod:`repro.numeric.flash`).  The keyword stays only until the
+            run-level benchmark stops passing it; the dense ``S x S``
+            attention is the tolerance oracle in :mod:`repro.reference`,
+            not a trainer option.
         use_workspace: back the model step with an
             :class:`~repro.tensors.workspace.ActivationWorkspace` so
             steady-state steps allocate no activation memory.
@@ -115,11 +118,17 @@ class STVTrainer:
         injector: InstabilityInjector | None = None,
         seed: int = 0,
         telemetry: Telemetry | None = None,
-        attn_backend: str = "dense",
+        attn_backend: str = "streaming",
         use_workspace: bool = False,
         plan: "ParallelPlan | None" = None,
         n_microbatches: int | None = None,
     ):
+        if attn_backend != "streaming":
+            raise ValueError(
+                f"attn_backend={attn_backend!r}: streaming is the only "
+                "attention core; dense attention is the tolerance oracle "
+                "in repro.reference"
+            )
         self.spec = spec or TransformerParams(
             vocab=256, max_seq=32, hidden=64, n_layers=2, n_heads=4
         )
@@ -147,7 +156,6 @@ class STVTrainer:
             self.spec,
             seed=seed,
             workspace=self.workspace,
-            attn_backend=attn_backend,
             telemetry=self.telemetry,
         )
         if config is None:
@@ -160,8 +168,7 @@ class STVTrainer:
         # TP/PP-sharded, while arenas, casts, STV, and rollback plumbing
         # keep operating on the wrapped model's params via delegation.
         self.plan_model = (
-            PlanModel(self.model, plan, n_microbatches=n_microbatches,
-                      backend=attn_backend)
+            PlanModel(self.model, plan, n_microbatches=n_microbatches)
             if plan is not None and (plan.tp > 1 or plan.pp > 1)
             else None
         )

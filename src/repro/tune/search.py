@@ -53,7 +53,6 @@ from repro import reference
 from repro.exec import kernels, ops
 from repro.exec.pool import KernelPool, default_workers, get_pool
 from repro.numeric import flash
-from repro.numeric.attention import MultiHeadAttention
 from repro.optim.adam import AdamConfig
 from repro.optim.implementations import GraceAdam
 from repro.optim.rollback import SnapshotRollback
@@ -499,12 +498,12 @@ def _tune_flash_blocks(
         if tq.default in candidates else min(times)
     best = candidates[best_i]
     if best != tq.default and times[best_i] < default_s * (1.0 - MARGIN):
-        ref, ref_cache = MultiHeadAttention.core_forward(q, k, v, True)
+        ref, ref_cache = reference.dense_attention_forward(q, k, v, True)
         got, cache = flash.streaming_attention_forward(
             q, k, v, causal=True, block_q=best, block_k=best
         )
         fwd_ok = float(np.abs(got - ref).max()) <= FLASH_FWD_TOL
-        rgrads = MultiHeadAttention.core_backward(dout, ref_cache)
+        rgrads = reference.dense_attention_backward(dout, ref_cache)
         sgrads = flash.streaming_attention_backward(dout, cache)
         bwd_ok = all(
             float(np.abs(a - b).max()) <= FLASH_BWD_TOL
@@ -1276,7 +1275,7 @@ def validate_profile(
     tuned_s, default_s = _ab_time(
         [_under(profile, attn_step), _under(None, attn_step)], repeats
     )
-    ref, _ = MultiHeadAttention.core_forward(q, k, v, True)
+    ref, _ = reference.dense_attention_forward(q, k, v, True)
     with runtime.overridden(profile):
         got, _ = flash.streaming_attention_forward(q, k, v, causal=True)
         det_ok = _flash_grouping_ok(q, k, v, got)

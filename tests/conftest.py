@@ -2,12 +2,69 @@
 
 from __future__ import annotations
 
+import os
+import random
+from typing import Dict, List, Optional
+
 import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticPile
 from repro.numeric.transformer import TinyTransformer, TransformerParams
 from repro.tune import runtime as tune_runtime
+
+
+#: Seed for a shuffled test order (unset or empty: collection order).
+SHUFFLE_ENV = "REPRO_TEST_SHUFFLE"
+
+
+def _shuffle_seed() -> Optional[int]:
+    value = os.environ.get(SHUFFLE_ENV, "")
+    return int(value) if value else None
+
+
+def _order_line(seed: Optional[int]) -> str:
+    order = "collection order" if seed is None else f"shuffled, seed {seed}"
+    return f"test order: {order} ({SHUFFLE_ENV})"
+
+
+def pytest_report_header(config):
+    return _order_line(_shuffle_seed())
+
+
+def _shuffled(rng: random.Random, groups: Dict) -> List:
+    keys = list(groups)
+    rng.shuffle(keys)
+    return [groups[k] for k in keys]
+
+
+def pytest_collection_modifyitems(session, config, items):
+    """Run the suite in a seeded random order, so a test that passes only
+    after (or fails only after) another one shows up.
+
+    Modules, the classes and free functions within a module, and the
+    tests within a class are each shuffled as a level, which keeps every
+    module- and class-scoped fixture to one setup.
+    """
+    seed = _shuffle_seed()
+    if seed is None:
+        return
+    reporter = config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None and config.getoption("verbose") < 0:
+        # -q hides the header; a shuffled run must still name its seed
+        reporter.write_line(_order_line(seed))
+    rng = random.Random(seed)
+    modules: Dict = {}
+    for item in items:
+        owners = modules.setdefault(item.nodeid.split("::")[0], {})
+        owner = item.cls if item.cls is not None else item.nodeid
+        owners.setdefault(owner, []).append(item)
+    order = []
+    for owners in _shuffled(rng, modules):
+        for group in _shuffled(rng, owners):
+            rng.shuffle(group)
+            order.extend(group)
+    items[:] = order
 
 
 @pytest.fixture(autouse=True)

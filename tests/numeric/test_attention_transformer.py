@@ -59,7 +59,7 @@ class TestAttention:
         v = np.arange(seq, dtype=np.float64).reshape(1, 1, seq, 1) * np.ones(
             (1, 1, seq, dim)
         )
-        ctx, _ = MultiHeadAttention.core_forward(q, k, v)
+        ctx, _ = attn.attend(q, k, v)
         np.testing.assert_allclose(ctx[0, 0, 2, 0], 1.0)  # mean(0,1,2)=1
 
 

@@ -1,4 +1,5 @@
-"""Streaming blocked attention vs. the dense reference.
+"""Streaming blocked attention — the one production core — vs. the
+dense oracle in :mod:`repro.reference`.
 
 The contract under test (DESIGN §9): streaming agrees with dense to
 fp32 tolerance (NOT bitwise — the online softmax reorders the
@@ -16,17 +17,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import reference
 from repro.numeric import flash
-from repro.numeric.attention import (
-    BACKENDS,
-    MultiHeadAttention,
-    causal_mask,
-    masked_fill_value,
-)
+from repro.numeric.attention import MultiHeadAttention
 from repro.numeric.transformer import TinyTransformer, TransformerParams
 from repro.parallel.comm import SimProcessGroup
 from repro.parallel.ulysses import UlyssesAttention
 from repro.tensors.workspace import ActivationWorkspace
+from tests.dense_oracle import use_dense_reference
 
 FWD_TOL = 1e-5
 BWD_TOL = 1e-4
@@ -47,6 +45,24 @@ def _fwd_bwd(q, k, v, dout, **kwargs):
     """(out, lse, dq, dk, dv) of one streaming forward + backward."""
     out, cache = flash.streaming_attention_forward(q, k, v, **kwargs)
     return (out, cache.lse) + flash.streaming_attention_backward(dout, cache)
+
+
+def _dense_hidden(qkv, heads, dout):
+    """The dense oracle at the hidden level: (out, dqkv) over a fused
+    ``(b, s, 3h)`` projection."""
+    b, s, h3 = qkv.shape
+    d = h3 // 3 // heads
+
+    def split(x):
+        return x.reshape(b, s, heads, d).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(b, s, heads * d)
+
+    q, k, v = (split(x) for x in np.split(qkv, 3, axis=-1))
+    out, cache = reference.dense_attention_forward(q, k, v, True)
+    grads = reference.dense_attention_backward(split(dout), cache)
+    return merge(out), np.concatenate([merge(g) for g in grads], axis=-1)
 
 
 def _in_thread(fn):
@@ -81,7 +97,7 @@ class TestForwardAgainstDense:
         """Odd lengths, blocks that do not divide S, both mask modes."""
         rng = np.random.default_rng(seq * 1000 + block_q * 10 + block_k)
         q, k, v = _qkv(rng, 1, 2, seq, seq, 8)
-        ref, _ = MultiHeadAttention.core_forward(q, k, v, causal)
+        ref, _ = reference.dense_attention_forward(q, k, v, causal)
         out, cache = flash.streaming_attention_forward(
             q, k, v, causal=causal, block_q=block_q, block_k=block_k
         )
@@ -91,7 +107,7 @@ class TestForwardAgainstDense:
 
     def test_cross_attention_shapes(self, rng):
         q, k, v = _qkv(rng, 2, 2, 13, 29, 8)
-        ref, _ = MultiHeadAttention.core_forward(q, k, v, causal=False)
+        ref, _ = reference.dense_attention_forward(q, k, v, causal=False)
         out, _ = flash.streaming_attention_forward(
             q, k, v, causal=False, block_q=5, block_k=7
         )
@@ -125,15 +141,15 @@ class TestBackwardAgainstDense:
     @settings(max_examples=60, deadline=None)
     def test_gradients_tolerance(self, seq, extra_k, block_q, block_k,
                                  causal, dtype):
-        """The one-pass backward against ``core_backward``: both mask
+        """The one-pass backward against the dense oracle: both mask
         modes, ``seq_q < seq_k``, block sides of 1, larger than the
         sequence and not dividing it, fp32 and fp64."""
         rng = np.random.default_rng(seq * 100 + block_q + 7 * block_k)
         q, k, v = (x.astype(dtype)
                    for x in _qkv(rng, 1, 2, seq, seq + extra_k, 8))
         dout = rng.standard_normal(q.shape).astype(dtype)
-        _, ref_cache = MultiHeadAttention.core_forward(q, k, v, causal)
-        ref = MultiHeadAttention.core_backward(dout, ref_cache)
+        _, ref_cache = reference.dense_attention_forward(q, k, v, causal)
+        ref = reference.dense_attention_backward(dout, ref_cache)
         _, cache = flash.streaming_attention_forward(
             q, k, v, causal=causal, block_q=block_q, block_k=block_k
         )
@@ -332,10 +348,7 @@ class TestMemoryFootprint:
         b, h, seq, d = 1, 4, 96, 8
         hidden = h * d
         ws = ActivationWorkspace()
-        attn = MultiHeadAttention(
-            h, backend="streaming", block_q=16, block_k=16,
-            workspace=ws,
-        )
+        attn = MultiHeadAttention(h, block_q=16, block_k=16, workspace=ws)
         qkv = rng.standard_normal((b, seq, 3 * hidden)).astype(np.float32)
         out, cache = attn.forward(qkv)
         dout = rng.standard_normal(out.shape).astype(np.float32)
@@ -345,103 +358,98 @@ class TestMemoryFootprint:
 
 
 class TestBackendDispatch:
-    def test_backends_tuple(self):
-        assert BACKENDS == ("dense", "streaming")
-        with pytest.raises(ValueError, match="backend"):
-            MultiHeadAttention(2, backend="sparse")
+    """There is no dispatch left: one core, the dense oracle in
+    :mod:`repro.reference`."""
+
+    def test_no_backend_option(self):
+        """One core: there is no attention backend to choose."""
+        with pytest.raises(TypeError, match="backend"):
+            MultiHeadAttention(2, backend="dense")
 
     def test_streaming_hidden_level_matches_dense(self, rng):
         qkv = rng.standard_normal((2, 21, 3 * 24)).astype(np.float32)
         dout = rng.standard_normal((2, 21, 24)).astype(np.float32)
-        dense = MultiHeadAttention(4)
-        stream = MultiHeadAttention(
-            4, backend="streaming", block_q=8, block_k=8
-        )
-        ref, ref_cache = dense.forward(qkv)
-        got, got_cache = stream.forward(qkv)
+        attn = MultiHeadAttention(4, block_q=8, block_k=8)
+        got, cache = attn.forward(qkv)
+        ref, dref = _dense_hidden(qkv, 4, dout)
         assert float(np.abs(got - ref).max()) <= FWD_TOL
-        dref = dense.backward(dout, ref_cache)
-        dgot = stream.backward(dout, got_cache)
-        assert float(np.abs(dgot - dref).max()) <= BWD_TOL
+        assert float(np.abs(attn.backward(dout, cache) - dref).max()) \
+            <= BWD_TOL
 
     def test_dense_is_bitwise_stable_reference(self, rng):
-        """The dense backend is the seed path: same call, same bits."""
+        """The oracle itself: same call, same bits."""
         q, k, v = _qkv(rng, 2, 2, 11, 11, 4)
-        a, cache_a = MultiHeadAttention.core_forward(q, k, v, True)
-        b_, cache_b = MultiHeadAttention.core_forward(q, k, v, True)
+        a, cache_a = reference.dense_attention_forward(q, k, v, True)
+        b_, cache_b = reference.dense_attention_forward(q, k, v, True)
         assert np.array_equal(a, b_)
         dout = rng.standard_normal(a.shape).astype(np.float32)
         for ga, gb in zip(
-            MultiHeadAttention.core_backward(dout, cache_a),
-            MultiHeadAttention.core_backward(dout, cache_b),
+            reference.dense_attention_backward(dout, cache_a),
+            reference.dense_attention_backward(dout, cache_b),
         ):
             assert np.array_equal(ga, gb)
 
 
 class TestMaskHelpers:
     def test_causal_mask_memoized_and_readonly(self):
-        m1 = causal_mask(9, 9)
-        assert m1 is causal_mask(9, 9)
+        m1 = reference.causal_mask(9, 9)
+        assert m1 is reference.causal_mask(9, 9)
         assert not m1.flags.writeable
         assert m1[0, 1] and not m1[1, 0] and not m1[3, 3]
 
     def test_masked_fill_is_finite_and_underflows(self):
         for dtype in (np.float16, np.float32, np.float64):
-            fill = masked_fill_value(dtype)
+            fill = reference.masked_fill_value(dtype)
             assert np.isfinite(fill)
             assert fill.dtype == np.dtype(dtype)
         # fp32: exp(fill - max) must be exactly zero, like the old -1e9
-        fill = float(masked_fill_value(np.float32))
+        fill = float(reference.masked_fill_value(np.float32))
         assert np.exp(np.float32(fill) - np.float32(10.0)) == 0.0
 
 
 class TestUlyssesStreaming:
     @pytest.mark.parametrize("world", [1, 2, 4])
     def test_sharded_streaming_matches_single_rank_dense(self, rng, world):
-        """The Ulysses exchange with streaming per-rank cores still
-        reproduces single-rank attention (tolerance, like the backend)."""
+        """The Ulysses exchange with streaming per-rank cores reproduces
+        single-rank dense attention to tolerance (and the single-rank
+        streaming module bit for bit: a head's bits do not depend on
+        which rank's call it rides in)."""
         b, seq, heads, d = 2, 16, 4, 6
         hidden = heads * d
         qkv = rng.standard_normal((b, seq, 3 * hidden)).astype(np.float32)
-        single = MultiHeadAttention(heads)
-        ref, ref_cache = single.forward(qkv)
+        dout = rng.standard_normal((b, seq, hidden)).astype(np.float32)
+        ref, dref = _dense_hidden(qkv, heads, dout)
+        single = MultiHeadAttention(heads, block_q=8, block_k=8)
+        one, one_cache = single.forward(qkv)
         group = SimProcessGroup(world)
-        ua = UlyssesAttention(
-            heads, group, backend="streaming", block_q=8, block_k=8,
-        )
+        ua = UlyssesAttention(heads, group, block_q=8, block_k=8)
         shard = seq // world
         shards = [qkv[:, r * shard : (r + 1) * shard] for r in range(world)]
         outs, caches = ua.forward(shards)
         got = np.concatenate(outs, axis=1)
         assert float(np.abs(got - ref).max()) <= FWD_TOL
-        dout = rng.standard_normal(ref.shape).astype(np.float32)
-        dref = single.backward(dout, ref_cache)
+        assert np.array_equal(got, one)
         dshards = [
             dout[:, r * shard : (r + 1) * shard] for r in range(world)
         ]
         dgot = np.concatenate(ua.backward(dshards, caches), axis=1)
         assert float(np.abs(dgot - dref).max()) <= BWD_TOL
-
-    def test_dense_default_unchanged(self, rng):
-        """Ulysses without a backend argument still runs the bitwise
-        dense core (the seed equivalence tests rely on it)."""
-        group = SimProcessGroup(2)
-        ua = UlyssesAttention(4, group)
-        assert ua.attn.backend == "dense"
+        assert np.array_equal(dgot, single.backward(dout, one_cache))
 
 
 class TestTransformerStreaming:
     def test_streaming_workspace_model_matches_dense(self, rng):
+        """The production model step (streaming, workspace-backed) vs.
+        the same model over the dense reference oracle."""
         spec = TransformerParams(
             vocab=64, max_seq=24, hidden=32, n_layers=2, n_heads=4
         )
         ids = rng.integers(0, spec.vocab, size=(2, 19))
         targets = rng.integers(0, spec.vocab, size=(2, 19))
-        base = TinyTransformer(spec, seed=3)
+        base = use_dense_reference(TinyTransformer(spec, seed=3))
         loss0, grads0 = base.loss_and_grads(ids, targets, loss_scale=4.0)
-        ws = ActivationWorkspace()
         model = TinyTransformer(
-            spec, seed=3, workspace=ws, attn_backend="streaming",
+            spec, seed=3, workspace=ActivationWorkspace(),
             block_q=8, block_k=8,
         )
         loss1, grads1 = model.loss_and_grads(ids, targets, loss_scale=4.0)
@@ -452,22 +460,32 @@ class TestTransformerStreaming:
         )
         assert worst <= BWD_TOL
 
-    def test_dense_workspace_model_is_bitwise(self, rng):
-        """Workspace buffers change where activations live, not their
-        bits: the dense+workspace model reproduces the seed exactly."""
+    @staticmethod
+    def _assert_workspace_bitwise(rng, wrap):
         spec = TransformerParams(
             vocab=32, max_seq=16, hidden=16, n_layers=2, n_heads=2
         )
         ids = rng.integers(0, spec.vocab, size=(2, 13))
         targets = rng.integers(0, spec.vocab, size=(2, 13))
-        base = TinyTransformer(spec, seed=5)
+        base = wrap(TinyTransformer(spec, seed=5))
         loss0, grads0 = base.loss_and_grads(ids, targets, loss_scale=2.0)
-        model = TinyTransformer(
+        model = wrap(TinyTransformer(
             spec, seed=5, workspace=ActivationWorkspace()
-        )
+        ))
         for _ in range(2):  # cold and warm workspace steps
             loss1, grads1 = model.loss_and_grads(ids, targets,
                                                  loss_scale=2.0)
             assert loss1 == loss0
             for key in grads0:
                 assert np.array_equal(grads0[key], grads1[key]), key
+
+    def test_workspace_model_is_bitwise(self, rng):
+        """Workspace buffers change where activations live, not their
+        bits: the workspace-backed model reproduces the plain one
+        exactly, cold and warm."""
+        self._assert_workspace_bitwise(rng, lambda model: model)
+
+    def test_dense_workspace_model_is_bitwise(self, rng):
+        """The same contract with the blocks over the dense oracle: it is
+        the block code's, not the attention core's."""
+        self._assert_workspace_bitwise(rng, use_dense_reference)

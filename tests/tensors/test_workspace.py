@@ -6,6 +6,7 @@ import pytest
 from repro.numeric.transformer import TinyTransformer, TransformerParams
 from repro.telemetry import Telemetry
 from repro.tensors.workspace import ActivationWorkspace, take_like
+from tests.dense_oracle import use_dense_reference
 
 
 class TestTakeGive:
@@ -116,18 +117,20 @@ class TestTakeLike:
 
 
 class TestModelStepIntegration:
-    @pytest.mark.parametrize("backend", ["dense", "streaming"])
-    def test_model_steady_state_allocations_zero(self, rng, backend):
+    @pytest.mark.parametrize("core", ["dense", "streaming"])
+    def test_model_steady_state_allocations_zero(self, rng, core):
         """The acceptance property: a full transformer loss_and_grads
-        allocates zero workspace buffers once shapes have been seen."""
+        allocates zero workspace buffers once shapes have been seen —
+        over the streaming core and over the dense reference oracle."""
         spec = TransformerParams(
             vocab=48, max_seq=16, hidden=16, n_layers=2, n_heads=2
         )
         ws = ActivationWorkspace()
         model = TinyTransformer(
-            spec, seed=0, workspace=ws, attn_backend=backend,
-            block_q=8, block_k=8,
+            spec, seed=0, workspace=ws, block_q=8, block_k=8,
         )
+        if core == "dense":
+            use_dense_reference(model)
         ids = rng.integers(0, spec.vocab, size=(2, 16))
         targets = rng.integers(0, spec.vocab, size=(2, 16))
         model.loss_and_grads(ids, targets)  # warm-up allocates

@@ -91,3 +91,11 @@ class TestTrainerBehaviour:
     def test_invalid_iterations(self):
         with pytest.raises(ValueError):
             STVTrainer(batch=2).run(0)
+
+    def test_attn_backend_accepts_only_streaming(self):
+        """The keyword is a shim for the run-level benchmark: streaming is
+        the only core, and asking for dense points at the oracle."""
+        with pytest.raises(ValueError, match="repro.reference"):
+            STVTrainer(batch=2, attn_backend="dense")
+        record = STVTrainer(batch=2, attn_backend="streaming").run(2)
+        assert all(np.isfinite(record.losses))
