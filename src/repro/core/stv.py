@@ -16,26 +16,21 @@ the concurrency and its effect on the critical path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.exec.ops import (
-    parallel_add_scaled,
-    parallel_cast,
-    parallel_scale,
-    parallel_scale_into,
-)
-from repro.optim.mixed_precision import lower_precision
+from repro.exec.kernels import grad_sumsq, land_grad
+from repro.exec.ops import parallel_scale
 from repro.numeric.transformer import TinyTransformer
 from repro.optim.implementations import AdamOptimizer, CPUAdam
 from repro.optim.mixed_precision import (
-    GradientHealth,
     LossScaler,
     MixedPrecisionState,
-    check_gradients,
     clip_coefficient,
+    health_from_sums,
 )
 from repro.optim.rollback import RollbackStrategy, make_rollback
 from repro.telemetry import NULL_TELEMETRY, Telemetry
@@ -122,9 +117,10 @@ class _EngineBase:
         self._metrics = self.telemetry.metrics
         # Move the master weights into a flat arena (a zero-copy wrap if a
         # lower layer already did) and give the optimizer arena-backed
-        # moments; gradients accumulate into a same-layout arena and the
-        # widened fp32 working copy gets one too, so the per-step casts and
-        # the gradient unscale are single flat passes.
+        # moments; gradients land in a same-layout arena, and the
+        # low-precision model copy (fp32 storage) gets one too, so the
+        # per-step sync is a single flat rounding pass that the forward
+        # reads directly.
         self.arena = FlatArena.wrap(model.params, telemetry=self.telemetry)
         if self.arena is None:
             self.arena = FlatArena.adopt(model.params,
@@ -132,7 +128,6 @@ class _EngineBase:
         if self.optimizer.arena is None:
             self.optimizer.bind_arena(self.arena)
         self._grad_arena = self.arena.like()
-        self._wide_arena = self.arena.like()
         self.mp = MixedPrecisionState(
             master_fp32=model.params, low_dtype=precision
         )
@@ -148,19 +143,22 @@ class _EngineBase:
 
     def _forward_backward(
         self, ids: np.ndarray, targets: np.ndarray, grad_accum: int = 1
-    ) -> tuple[float, Params, bool]:
-        """FP16 forward/backward with loss scaling and optional gradient
-        accumulation.
+    ) -> tuple[float, Params, Dict[str, float]]:
+        """Low-precision forward/backward with loss scaling and optional
+        gradient accumulation.
 
         With ``grad_accum > 1`` the batch dimension is split into that many
         micro-batches (the paper's OOM-avoidance strategy 1, §5.2) and the
         unscaled fp32 gradients are averaged across them — the boundary
         where offloading engines transfer gradients.
 
-        Returns (unscaled loss, unscaled fp32 gradients, overflow flag).
-        Gradients round-trip through fp16 — exactly where a real mixed-
+        Returns (unscaled loss, unscaled fp32 gradients, each gradient's
+        float64 sum of squares in the gradients' order).  Gradients are
+        rounded to the training precision — exactly where a real mixed-
         precision backward produces them — so overflow genuinely occurs
-        when the scale is too high or the batch is pathological.
+        when the scale is too high or the batch is pathological; a sum is
+        non-finite exactly when its gradient is, so the sums carry the
+        overflow flag, each bucket's finiteness and the global norm.
         """
         if grad_accum < 1:
             raise ValueError("grad_accum must be >= 1")
@@ -168,22 +166,9 @@ class _EngineBase:
             raise ValueError(
                 f"batch {ids.shape[0]} not divisible by grad_accum {grad_accum}"
             )
-        with self._tracer.span("cast", category="cast", direction="widen"):
-            if self.mp.low_arena is not None:
-                # One flat widening cast into the reusable fp32 arena,
-                # executed as parallel chunk kernels (bitwise identical
-                # to per-tensor astype).
-                parallel_cast(self._wide_arena.flat, self.mp.low_arena.flat)
-                self._wide_arena.note_alias(self._wide_arena.flat.nbytes)
-                widened = dict(self._wide_arena.views)
-            else:
-                widened = {
-                    k: v.astype(np.float32)
-                    for k, v in self.mp.model_fp16.items()
-                }
         inv = np.float32(1.0 / self.scaler.scale)
         boost = np.float32(self.grad_injection)
-        overflow = False
+        boost = None if boost == 1.0 else boost
         total_loss = 0.0
         accumulated: Params = {}
         grad_views = self._grad_arena.views
@@ -194,37 +179,24 @@ class _EngineBase:
                 np.split(ids, grad_accum), np.split(targets, grad_accum)
             ):
                 loss, grads = self.model.loss_and_grads(
-                    micro_ids, micro_targets, params=widened,
+                    micro_ids, micro_targets, params=self.mp.model_fp16,
                     loss_scale=self.scaler.scale,
                 )
                 total_loss += loss
                 for name, g in grads.items():
-                    if boost != 1.0:
-                        g = g * boost
-                    g16 = lower_precision(g, self.precision)
-                    if not np.all(np.isfinite(g16)):
-                        overflow = True
-                    if name in accumulated:
-                        # Chunked accumulate (dst += g16 * inv); the kernel
-                        # silences the inf - inf style propagation expected
-                        # when a micro batch overflowed — the health check
-                        # flags it and the iteration is skipped.
-                        parallel_add_scaled(
-                            accumulated[name].reshape(-1),
-                            g16.reshape(-1), inv,
-                        )
-                        continue
-                    out = grad_views.get(name)
-                    if out is not None and out.shape == g16.shape:
-                        # First micro-batch lands straight in the gradient
-                        # arena (same bits as astype-then-multiply).
-                        parallel_scale_into(
-                            out.reshape(-1), g16.reshape(-1), inv
-                        )
+                    out = accumulated.get(name)
+                    if out is None:
+                        # The first micro-batch lands straight in the
+                        # gradient arena.
+                        out = grad_views.get(name)
+                        if out is None or out.shape != g.shape:
+                            out = np.empty(g.shape, dtype=np.float32)
+                            all_in_arena = False
+                        land_grad(out, g, inv, self.precision, boost)
                         accumulated[name] = out
                     else:
-                        accumulated[name] = g16.astype(np.float32) * inv
-                        all_in_arena = False
+                        land_grad(out, g, inv, self.precision, boost,
+                                  accumulate=True)
         if all_in_arena and set(accumulated) == set(grad_views):
             # Re-emit in layout order so downstream flat fast paths can
             # recognise the dict as the arena (no array copies involved).
@@ -239,7 +211,8 @@ class _EngineBase:
             scale = np.float32(1.0 / grad_accum)
             for name in accumulated:
                 accumulated[name] *= scale
-        return total_loss / grad_accum, accumulated, overflow
+        sums = {name: grad_sumsq(g) for name, g in accumulated.items()}
+        return total_loss / grad_accum, accumulated, sums
 
     def _apply_clip(self, grads: Params, coef: float) -> Params:
         if coef == 1.0:
@@ -264,11 +237,10 @@ class SynchronousEngine(_EngineBase):
         self, ids: np.ndarray, targets: np.ndarray, grad_accum: int = 1
     ) -> StepReport:
         """One STE training iteration (optionally micro-batched)."""
-        loss, grads, overflow = self._forward_backward(ids, targets, grad_accum)
+        loss, grads, sums = self._forward_backward(ids, targets, grad_accum)
         scale = self.scaler.scale
         with self._tracer.span("validate", category="validate"):
-            health = check_gradients(grads, self.clip_norm) if not overflow \
-                else GradientHealth(True, 0.0, False)
+            health = health_from_sums(sums.values(), self.clip_norm)
         if health.has_nan_or_inf:
             self._metrics.counter("overflows_total").inc()
             self.scaler.update(found_overflow=True)
@@ -367,7 +339,7 @@ class STVEngine(_EngineBase):
             grad_accum: micro-batch count; gradients offload (and the
                 speculative steps fire) only at the accumulation boundary.
         """
-        loss, grads, overflow = self._forward_backward(ids, targets, grad_accum)
+        loss, grads, sums = self._forward_backward(ids, targets, grad_accum)
         scale = self.scaler.scale
 
         # --- speculation: step each bucket as its gradients "arrive" -------
@@ -380,9 +352,7 @@ class STVEngine(_EngineBase):
                                buckets=len(self.buckets)):
             for bucket, rollback in zip(self.buckets, self._rollbacks):
                 bucket_grads = self._bucket_grads(grads, bucket)
-                finite = all(
-                    np.all(np.isfinite(g)) for g in bucket_grads.values()
-                )
+                finite = all(math.isfinite(sums[name]) for name in bucket)
                 if finite:
                     rollback.capture(bucket_grads)
                     self.optimizer.step(bucket_grads)
@@ -390,15 +360,15 @@ class STVEngine(_EngineBase):
 
         # --- validation (background process in the real system) ------------
         with self._tracer.span("validate", category="validate"):
-            if overflow:
-                health = GradientHealth(True, 0.0, False)
-            elif self._validator is not None:
+            if self._validator is not None:
                 # submitted to the worker while (in the real system) the GPU
                 # would be running the next forward pass; the verdict is
                 # joined before any parameter is consumed again.
-                health = self._validator.submit(grads, self.clip_norm).result()
+                health = self._validator.submit(
+                    list(sums.values()), self.clip_norm
+                ).result()
             else:
-                health = check_gradients(grads, self.clip_norm)
+                health = health_from_sums(sums.values(), self.clip_norm)
 
         rolled_back = False
         clipped = False

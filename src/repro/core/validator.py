@@ -4,12 +4,17 @@ The paper implements validation as a separate process fed through a
 multiprocessing queue: while the GPU runs the next forward pass, the
 validator computes the global gradient norm and scans for NaN/Inf, and the
 engine consults the verdict afterwards.  This module provides that
-mechanism with a worker *thread* (numpy releases the GIL inside the norm
-reductions, so a thread gives the same concurrency without the fork
-overhead — and stays robust in sandboxed environments).
+mechanism with a worker *thread* (a thread gives the same concurrency
+without the fork overhead — and stays robust in sandboxed environments).
+
+The per-tensor float64 sums of squares are taken where the gradients land
+(the pass that already touches every gradient byte); the validator folds
+them into the global verdict — NaN/Inf, norm, clip decision — with
+:func:`~repro.optim.mixed_precision.health_from_sums`, bitwise the verdict
+the inline path computes.
 
 :class:`BackgroundValidator` is deliberately engine-agnostic: callers
-submit ``(grads, clip_norm)`` jobs and either block on the ticket or poll
+submit ``(sums, clip_norm)`` jobs and either block on the ticket or poll
 it, mirroring the paper's queue protocol.
 """
 
@@ -18,13 +23,9 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional, Sequence
 
-import numpy as np
-
-from repro.optim.mixed_precision import GradientHealth, check_gradients
-
-Params = Dict[str, np.ndarray]
+from repro.optim.mixed_precision import GradientHealth, health_from_sums
 
 
 @dataclass
@@ -71,18 +72,19 @@ class BackgroundValidator:
         )
         self._thread.start()
 
-    def submit(self, grads: Params, clip_norm: float | None) -> ValidationTicket:
+    def submit(
+        self, sums: Sequence[float], clip_norm: float | None
+    ) -> ValidationTicket:
         """Queue one validation job; returns immediately.
 
-        The gradients are *not* copied: the STV engine retains them until
-        the verdict anyway (it needs them for potential rollback), matching
-        the paper's zero-copy queue handoff.
+        ``sums`` are the gradients' float64 sums of squares in the order
+        the verdict adds them (see ``health_from_sums``).
         """
         if self._closed:
             raise RuntimeError("validator has been closed")
         ticket = ValidationTicket(self._next_id)
         self._next_id += 1
-        self._queue.put((ticket, grads, clip_norm))
+        self._queue.put((ticket, sums, clip_norm))
         return ticket
 
     def _run(self) -> None:
@@ -90,9 +92,9 @@ class BackgroundValidator:
             item = self._queue.get()
             if item is None:
                 return
-            ticket, grads, clip_norm = item
+            ticket, sums, clip_norm = item
             try:
-                ticket._result = check_gradients(grads, clip_norm)
+                ticket._result = health_from_sums(sums, clip_norm)
             except BaseException as exc:  # surfaced at result()
                 ticket._error = exc
             finally:

@@ -11,12 +11,11 @@ package is the substrate's execution layer for that idea:
   futures and per-worker telemetry (``exec_chunks_total``,
   ``exec_busy_ms``);
 * :mod:`repro.exec.kernels` — fused, allocation-free chunk kernels
-  (AdamW, scale, cast, memcpy, fixed-order reduce) that are bitwise
-  identical to their serial ancestors for any chunking;
+  (AdamW, scale, memcpy, fixed-order reduce, the STV gradient landing)
+  that are bitwise identical to their serial ancestors for any chunking;
 * :mod:`repro.exec.ops` — the call-site surface routing the hot paths
-  (CPUAdam/GraceAdam flat step, snapshot rollback, STV
-  accumulate/clip, mixed-precision casts, the pipelined ZeRO bucket
-  reduce) through the pool.
+  (CPUAdam/GraceAdam flat step, snapshot rollback, STV clip, the
+  pipelined ZeRO bucket reduce) through the pool.
 
 numpy releases the GIL on large array operations, so chunks execute in
 true parallel on multi-core hosts; on one core the executor still wins by
@@ -29,13 +28,10 @@ from repro.exec.kernels import CACHE_TILE, AdamChunkHyper
 from repro.exec.ops import (
     MIN_PARALLEL_FUSED,
     MIN_PARALLEL_SIMPLE,
-    parallel_add_scaled,
     parallel_adam_flat,
-    parallel_cast,
     parallel_copy,
     parallel_reduce,
     parallel_scale,
-    parallel_scale_into,
 )
 from repro.exec.plan import DEFAULT_ALIGN, ChunkPlan
 from repro.exec.pool import (
@@ -59,10 +55,7 @@ __all__ = [
     "default_workers",
     "get_pool",
     "parallel_adam_flat",
-    "parallel_add_scaled",
-    "parallel_cast",
     "parallel_copy",
     "parallel_reduce",
     "parallel_scale",
-    "parallel_scale_into",
 ]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.numeric.lowprec import to_bf16
+from repro.numeric.lowprec import ROUND_TILE, ROUND_TILES, round_scratch
 from repro.tune.registry import default as _registry_default
 
 #: Elements per cache sub-tile inside a chunk.  Six fp32 streams (p, m,
@@ -155,58 +155,73 @@ def copy_chunk(lo: int, hi: int, dst: np.ndarray, src: np.ndarray) -> None:
     np.copyto(dst[lo:hi], src[lo:hi])
 
 
-def cast_chunk(
-    lo: int,
-    hi: int,
+def land_grad(
     dst: np.ndarray,
     src: np.ndarray,
-    ignore_overflow: bool = False,
+    inv: np.float32,
+    precision: str = "fp16",
+    boost: np.float32 | None = None,
+    accumulate: bool = False,
+    tile: int = ROUND_TILE,
 ) -> None:
-    """Dtype-converting ``dst[lo:hi] = src[lo:hi]``.
+    """Land one backward gradient: ``dst = round(src * boost) * inv``.
 
-    ``ignore_overflow`` silences the fp32→fp16 saturation warning the
-    narrow cast legitimately produces (values beyond ~65504 become inf,
-    as on the GPU).  ``np.errstate`` is thread-local, so the guard is
-    applied here, inside the worker, not at the submitting call site.
+    ``round`` is the training precision's rounding kernel
+    (:func:`~repro.numeric.lowprec.round_fp16` or ``round_bf16``): the
+    gradient passes through the low-precision format exactly where a
+    mixed-precision backward produces it, so an fp16 overflow becomes
+    inf.  ``inv`` unscales the loss scale; ``boost`` (``None`` skips
+    it) is the engines' gradient-injection multiplier.  With
+    ``accumulate`` the product is added into ``dst`` instead (micro-
+    batch accumulation), under the invalid/overflow silencing that
+    ``inf - inf`` after an overflowed micro-batch needs — the health
+    check flags it downstream.
+
+    One tile at a time through per-thread scratch, on the calling
+    thread: bitwise the unfused sequence (fp32 multiply, round, fp32
+    multiply, fp32 add) for any ``tile``.
     """
-    if ignore_overflow:
-        with np.errstate(over="ignore"):
-            dst[lo:hi] = src[lo:hi]
-    else:
-        dst[lo:hi] = src[lo:hi]
+    round_tile = ROUND_TILES[precision]
+    if dst.size != src.size or not dst.flags.c_contiguous:
+        raise ValueError("land_grad needs a contiguous dst of src's size")
+    flat_dst = dst.reshape(-1)
+    flat_src = src.reshape(-1)
+    n = flat_src.size
+    t, a, c = round_scratch(min(n, tile))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, tile):
+            hi = min(lo + tile, n)
+            k = hi - lo
+            tk = t[:k]
+            g = flat_src[lo:hi]
+            if boost is not None:
+                np.multiply(g, boost, out=tk)
+                g = tk
+            round_tile(g, tk, a[:k], c[:k])
+            if accumulate:
+                tk *= inv
+                flat_dst[lo:hi] += tk
+            else:
+                np.multiply(tk, inv, out=flat_dst[lo:hi])
 
 
-def cast_bf16_chunk(lo: int, hi: int, dst: np.ndarray, src: np.ndarray) -> None:
-    """``dst[lo:hi] = to_bf16(src[lo:hi])`` — elementwise round-to-
-    nearest-even truncation, so chunking cannot change any bit."""
-    dst[lo:hi] = to_bf16(src[lo:hi])
+def grad_sumsq(g: np.ndarray) -> float:
+    """float64 sum of squares of one fp32 tensor, by ``np.dot``.
 
-
-def scale_into_chunk(
-    lo: int, hi: int, dst: np.ndarray, src: np.ndarray, scale: np.float32
-) -> None:
-    """``dst[lo:hi] = src[lo:hi] * scale`` (first micro-batch landing).
-
-    ``src`` may be low-precision; numpy upcasts it to fp32 before the
-    multiply — the same bits as the ancestor's ``astype`` + multiply.
+    The widened copy goes to a persistent per-thread float64 scratch,
+    so the value is bitwise the norm term of
+    :func:`~repro.optim.mixed_precision.check_gradients` (fp32 ->
+    float64 is exact; ``np.dot`` does not depend on the buffer) without
+    its allocation.  Non-finite iff some element is (see
+    :func:`sumsq_chunk`).
     """
-    np.multiply(src[lo:hi], scale, out=dst[lo:hi])
-
-
-def add_scaled_chunk(
-    lo: int, hi: int, dst: np.ndarray, src: np.ndarray, scale: np.float32
-) -> None:
-    """``dst[lo:hi] += src[lo:hi] * scale`` (micro-batch accumulation).
-
-    Runs under the same invalid/overflow silencing the serial
-    accumulation loop used: inf - inf propagation is *expected* when a
-    micro-batch overflowed — the health check flags it downstream.
-    """
-    s1, _ = _scratch_pair(hi - lo)
-    c1 = s1[: hi - lo]
-    with np.errstate(invalid="ignore", over="ignore"):
-        np.multiply(src[lo:hi], scale, out=c1)
-        dst[lo:hi] += c1
+    flat = g.reshape(-1)
+    buf = getattr(_scratch, "dot64", None)
+    if buf is None or buf.size < flat.size:
+        buf = _scratch.dot64 = np.empty(flat.size, dtype=np.float64)
+    w = buf[: flat.size]
+    np.copyto(w, flat)
+    return float(np.dot(w, w))
 
 
 def reduce_chunk(

@@ -1,7 +1,7 @@
 """Parallel flat-plane operations: the executor's call-site surface.
 
 Each op covers one of the substrate's hot flat passes (fused Adam step,
-clip/accumulate scale, mixed-precision cast, snapshot memcpy), planning
+clip scale, snapshot memcpy, fixed-order reduce), planning
 the plane into worker-aligned chunks and driving the corresponding
 :mod:`repro.exec.kernels` kernel through a
 :class:`~repro.exec.pool.KernelPool`.  ``pool=None`` always means the
@@ -39,7 +39,7 @@ from repro.tune.registry import default as _registry_default
 
 #: Below this many elements a fused multi-pass kernel (Adam) runs inline.
 MIN_PARALLEL_FUSED = _registry_default("adam.min_parallel")
-#: Below this many elements a single-pass kernel (scale/cast/copy) runs
+#: Below this many elements a single-pass kernel (scale/copy) runs
 #: inline — one pass amortizes dispatch later than ten passes do.
 MIN_PARALLEL_SIMPLE = _registry_default("scale.min_parallel")
 
@@ -97,44 +97,6 @@ def parallel_copy(
     """Chunked flat memcpy (snapshot capture/restore)."""
     _run(pool, dst.size, "copy.min_parallel", MIN_PARALLEL_SIMPLE,
          DEFAULT_ALIGN, kernels.copy_chunk, dst, src)
-
-
-def parallel_cast(
-    dst: np.ndarray,
-    src: np.ndarray,
-    ignore_overflow: bool = False,
-    bf16: bool = False,
-    pool: Optional[KernelPool] = None,
-) -> None:
-    """Chunked dtype-converting copy (the mixed-precision casts)."""
-    if bf16:
-        _run(pool, dst.size, "cast.min_parallel", MIN_PARALLEL_SIMPLE,
-             DEFAULT_ALIGN, kernels.cast_bf16_chunk, dst, src)
-    else:
-        _run(pool, dst.size, "cast.min_parallel", MIN_PARALLEL_SIMPLE,
-             DEFAULT_ALIGN, kernels.cast_chunk, dst, src, ignore_overflow)
-
-
-def parallel_scale_into(
-    dst: np.ndarray,
-    src: np.ndarray,
-    scale: np.float32,
-    pool: Optional[KernelPool] = None,
-) -> None:
-    """``dst = src * scale`` (first micro-batch gradient landing)."""
-    _run(pool, dst.size, "scale_into.min_parallel", MIN_PARALLEL_SIMPLE,
-         DEFAULT_ALIGN, kernels.scale_into_chunk, dst, src, scale)
-
-
-def parallel_add_scaled(
-    dst: np.ndarray,
-    src: np.ndarray,
-    scale: np.float32,
-    pool: Optional[KernelPool] = None,
-) -> None:
-    """``dst += src * scale`` (micro-batch gradient accumulation)."""
-    _run(pool, dst.size, "add_scaled.min_parallel", MIN_PARALLEL_SIMPLE,
-         DEFAULT_ALIGN, kernels.add_scaled_chunk, dst, src, scale)
 
 
 #: Below this many *weight* elements (k * n) the fused qmatmul runs its

@@ -12,7 +12,7 @@ safe for the substrate's kernels:
 * **Balance.**  Chunks differ by at most one ``align`` quantum, so no
   worker is handed more than one extra vector tile of work.
 
-Because every routed kernel is elementwise (Adam update, scale, cast,
+Because every routed kernel is elementwise (Adam update, scale,
 copy, fixed-order reduce), chunk boundaries cannot change any result
 bit: the chunked execution is bitwise identical to the serial ancestor
 for *any* plan, which the hypothesis suite in ``tests/exec`` asserts

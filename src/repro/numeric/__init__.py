@@ -6,7 +6,14 @@ speculation-then-validation rollback, ZeRO sharding, Ulysses attention
 exchange — is exercised for real against this substrate at reduced scale.
 """
 
-from repro.numeric.lowprec import to_fp16, from_fp16, to_bf16, cast_roundtrip_error
+from repro.numeric.lowprec import (
+    cast_roundtrip_error,
+    from_fp16,
+    round_bf16,
+    round_fp16,
+    to_bf16,
+    to_fp16,
+)
 from repro.numeric.layers import (
     Dense,
     Embedding,
@@ -31,6 +38,8 @@ __all__ = [
     "to_fp16",
     "from_fp16",
     "to_bf16",
+    "round_fp16",
+    "round_bf16",
     "cast_roundtrip_error",
     "Dense",
     "Embedding",

@@ -1,9 +1,16 @@
 """Low-precision emulation on numpy.
 
-FP16 is native in numpy; bfloat16 is emulated by truncating the fp32
-mantissa (round-to-nearest-even on the upper 16 bits), the same convention
-hardware uses.  These helpers are the numeric twin of the casting cost
-models in :mod:`repro.hardware.casting`.
+The training paths keep low-precision tensors as fp16 or bf16 *values* in
+fp32 storage: :func:`round_fp16` and :func:`round_bf16` write the nearest
+representable value of each fp32 element (round-to-nearest-even, the
+convention hardware uses) into an fp32 buffer.  numpy's own fp32<->fp16
+conversion is a scalar loop on common hosts (several ns per element each
+way); the rounding kernels are ten vectorised ufunc passes per cache tile
+and produce exactly the bits of ``x.astype(np.float16).astype(np.float32)``
+— overflow to inf, subnormals, signed zeros and NaN included.
+:func:`to_fp16` / :func:`from_fp16` remain as the numpy conversions (the
+oracle the kernel is tested against).  These helpers are the numeric twin
+of the casting cost models in :mod:`repro.hardware.casting`.
 
 The int8 half of the module is the inference weight format: symmetric
 per-group block quantization (AWQ-style).  A 2-D fp32 plane ``(in, out)``
@@ -19,10 +26,149 @@ zero and NaN/inf never leak into the int8 plane.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, Tuple
 
 import numpy as np
+
+#: Elements per tile of the rounding kernels.  A tile's three fp32
+#: scratch streams (768 KiB) stay in L2 across the kernel's ten passes.
+ROUND_TILE = 1 << 16
+
+_EXP_BITS = np.uint32(0x7F800000)
+_SIGN_BIT = np.uint32(0x80000000)
+# fp16's quantum is 2^-10 of the binade, floored at the subnormal quantum
+# 2^-24 and capped at the top binade's 32: the binade base clamped to
+# [2^-14, 2^15], times 2^13, is the constant whose fp32 ulp is that quantum.
+_FP16_BINADE_LO = np.float32(2.0**-14)
+_FP16_BINADE_HI = np.float32(2.0**15)
+_FP16_SHIFT = np.float32(2.0**13)
+# Rounded magnitudes are either <= 65504 or >= 65536 (fp16 overflow);
+# scaling by 2^112 sends exactly the latter past fp32's range.
+_OVERFLOW_UP = np.float32(2.0**112)
+_OVERFLOW_DOWN = np.float32(2.0**-112)
+
+_BF16_KEEP = np.uint32(0xFFFF0000)
+_BF16_ROUND = np.uint32(0x7FFF)
+_QUIET_BIT = np.uint32(0x00400000)
+
+_scratch = threading.local()
+
+
+def round_scratch(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three per-thread fp32 scratch tiles of at least ``n`` elements."""
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None or bufs[0].size < n:
+        size = max(n, ROUND_TILE)
+        bufs = tuple(np.empty(size, dtype=np.float32) for _ in range(3))
+        _scratch.bufs = bufs
+    return bufs
+
+
+def round_fp16_tile(
+    x: np.ndarray, out: np.ndarray, a: np.ndarray, c: np.ndarray
+) -> None:
+    """``out = fp16(x)`` as fp32 over one 1-D tile (``out`` may be ``x``).
+
+    ``a`` and ``c`` are scratch of the same length.  ``c`` becomes the
+    binade base of ``|x|`` (its exponent field) clamped to fp16's range
+    and times 2^13, so ``(|x| + c) - c`` rounds ``|x|`` to fp16's quantum
+    in one fp32 add (RNE, subnormals included).  Rounded magnitudes that
+    overflow fp16 reach inf through the 2^112 scaling, and ``x``'s sign
+    bit is or-ed back in (integer passes: ``copysign`` is several times
+    slower).  Callers silence the fp32 overflow warning (and the
+    invalid-operation one a signalling NaN input raises).
+    """
+    xb, ab, cb = x.view(np.uint32), a.view(np.uint32), c.view(np.uint32)
+    np.bitwise_and(xb, _EXP_BITS, out=cb)
+    np.clip(c, _FP16_BINADE_LO, _FP16_BINADE_HI, out=c)
+    c *= _FP16_SHIFT
+    np.abs(x, out=a)
+    a += c
+    a -= c
+    a *= _OVERFLOW_UP
+    a *= _OVERFLOW_DOWN
+    np.bitwise_and(xb, _SIGN_BIT, out=cb)
+    np.bitwise_or(ab, cb, out=out.view(np.uint32))
+
+
+def round_bf16_tile(
+    x: np.ndarray, out: np.ndarray, a: np.ndarray, c: np.ndarray
+) -> None:
+    """``out = bf16(x)`` as fp32 over one 1-D tile (``out`` may be ``x``).
+
+    Round-to-nearest-even on the top 16 bits of the encoding: add
+    ``0x7FFF`` plus the lowest surviving mantissa bit, then clear the
+    low half.  That carry would wrap a NaN into a zero or an infinity,
+    so NaNs are written separately as the quiet NaN of the same sign and
+    top payload bits.
+    """
+    bits = x.view(np.uint32)
+    nan = np.isnan(x)
+    quiet = (bits[nan] | _QUIET_BIT) & _BF16_KEEP if nan.any() else None
+    cb = c.view(np.uint32)
+    np.right_shift(bits, 16, out=cb)
+    cb &= np.uint32(1)
+    cb += _BF16_ROUND
+    ob = out.view(np.uint32)
+    np.add(bits, cb, out=ob)
+    ob &= _BF16_KEEP
+    if quiet is not None:
+        ob[nan] = quiet
+
+
+ROUND_TILES = {"fp16": round_fp16_tile, "bf16": round_bf16_tile}
+
+
+def _round(tile_fn, src, out, tile: int) -> np.ndarray:
+    src = np.asarray(src, dtype=np.float32)
+    if out is None:
+        out = np.empty(src.shape, dtype=np.float32)
+    elif out.shape != src.shape or out.dtype != np.float32:
+        raise ValueError(
+            f"out must be fp32 of shape {src.shape}, got {out.dtype} "
+            f"{out.shape}"
+        )
+    if tile < 1:
+        raise ValueError(f"tile must be positive, got {tile}")
+    flat_src = src.reshape(-1)   # a copy only when src is strided
+    flat_out = (
+        out.reshape(-1) if out.flags.c_contiguous
+        else np.empty(out.size, dtype=np.float32)
+    )
+    n = flat_src.size
+    a, c, _ = round_scratch(min(n, tile))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, tile):
+            hi = min(lo + tile, n)
+            tile_fn(flat_src[lo:hi], flat_out[lo:hi], a[:hi - lo],
+                    c[:hi - lo])
+    if not out.flags.c_contiguous:
+        out[...] = flat_out.reshape(out.shape)
+    return out
+
+
+def round_fp16(
+    src: np.ndarray, out: np.ndarray | None = None, tile: int = ROUND_TILE
+) -> np.ndarray:
+    """The nearest fp16 value of each fp32 element, stored as fp32.
+
+    Bitwise equal to ``src.astype(np.float16).astype(np.float32)`` for
+    every fp32 input (values that round past 65504 become inf; NaN stays
+    NaN), at memory speed: ten ufunc passes per ``tile`` elements on the
+    calling thread.  ``out`` may alias ``src``; the result does not
+    depend on ``tile``.
+    """
+    return _round(round_fp16_tile, src, out, tile)
+
+
+def round_bf16(
+    src: np.ndarray, out: np.ndarray | None = None, tile: int = ROUND_TILE
+) -> np.ndarray:
+    """The nearest bf16 value of each fp32 element, stored as fp32
+    (round-to-nearest-even; NaN gives a quiet NaN of the same sign)."""
+    return _round(round_bf16_tile, src, out, tile)
 
 
 def to_fp16(x: np.ndarray) -> np.ndarray:
@@ -37,16 +183,8 @@ def from_fp16(x: np.ndarray) -> np.ndarray:
 
 
 def to_bf16(x: np.ndarray) -> np.ndarray:
-    """Round fp32 to bfloat16 precision, returned as fp32 storage.
-
-    Uses round-to-nearest-even on the top 16 bits of the fp32 encoding.
-    """
-    as_f32 = np.ascontiguousarray(x, dtype=np.float32)
-    bits = as_f32.view(np.uint32)
-    # round-to-nearest-even: add 0x7FFF + lsb of the surviving mantissa bit
-    lsb = (bits >> 16) & 1
-    rounded = (bits + 0x7FFF + lsb) & 0xFFFF0000
-    return rounded.view(np.float32).reshape(as_f32.shape).copy()
+    """Round fp32 to bfloat16 precision, returned as (new) fp32 storage."""
+    return round_bf16(x)
 
 
 def cast_roundtrip_error(x: np.ndarray, dtype: str = "fp16") -> float:
@@ -58,9 +196,9 @@ def cast_roundtrip_error(x: np.ndarray, dtype: str = "fp16") -> float:
     finite elements round trips exactly, so its error is 0.0.
     """
     if dtype == "fp16":
-        back = from_fp16(to_fp16(x))
+        back = round_fp16(x)
     elif dtype == "bf16":
-        back = to_bf16(x)
+        back = round_bf16(x)
     else:
         raise ValueError(f"unsupported low precision dtype {dtype!r}")
     as_f32 = np.asarray(x, dtype=np.float32)

@@ -25,6 +25,7 @@ from repro.optim.mixed_precision import (
     check_gradients,
     clip_coefficient,
     global_grad_norm,
+    health_from_sums,
 )
 from repro.optim.rollback import (
     AlgebraicRollback,
@@ -51,6 +52,7 @@ __all__ = [
     "GradientHealth",
     "check_gradients",
     "global_grad_norm",
+    "health_from_sums",
     "clip_coefficient",
     "RollbackStrategy",
     "SnapshotRollback",

@@ -1,21 +1,25 @@
 """Mixed-precision training machinery (§2.2, §4.4, §4.5).
 
-Holds the fp32 master copy plus the fp16 model copy, the dynamic loss
-scaler, and the two *global* gradient checks whose synchronization the
-paper's speculation-then-validation removes from the critical path:
+Holds the fp32 master copy plus the low-precision model copy, the dynamic
+loss scaler, and the two *global* gradient checks whose synchronization
+the paper's speculation-then-validation removes from the critical path:
 NaN/Inf detection and gradient-norm clipping.
+
+Storage rule: a low-precision copy holds fp16 (or bf16) *values* in fp32
+storage, produced by the rounding kernels of :mod:`repro.numeric.lowprec`
+— bitwise the values a native fp16/bf16 buffer widened back to fp32 would
+hold, so the forward reads the copy directly with no widening pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from repro.exec.ops import parallel_cast
-from repro.numeric.lowprec import to_bf16, to_fp16
+from repro.numeric.lowprec import round_bf16, round_fp16
 from repro.tensors.arena import FlatArena
 
 Params = Dict[str, np.ndarray]
@@ -23,16 +27,19 @@ Params = Dict[str, np.ndarray]
 SUPPORTED_LOW_PRECISION = ("fp16", "bf16")
 
 
-def lower_precision(x: np.ndarray, dtype: str) -> np.ndarray:
-    """Cast fp32 to the training's low-precision format.
+def lower_precision(
+    x: np.ndarray, dtype: str, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Round fp32 to the training's low-precision format, in fp32 storage.
 
-    bf16 is emulated with fp32 storage (numpy has no native bfloat16), so
-    callers must not rely on ``dtype`` of the result to distinguish formats.
+    Both formats keep fp32 storage (the module's storage rule), so callers
+    must not rely on ``dtype`` of the result to distinguish formats.
+    ``out`` (fp32, ``x``'s shape) receives the result when given.
     """
     if dtype == "fp16":
-        return to_fp16(x)
+        return round_fp16(x, out)
     if dtype == "bf16":
-        return to_bf16(x)
+        return round_bf16(x, out)
     raise ValueError(
         f"unsupported low precision {dtype!r}; choose from "
         f"{SUPPORTED_LOW_PRECISION}"
@@ -84,6 +91,23 @@ def global_grad_norm(grads: Params) -> float:
         g64 = np.asarray(g, dtype=np.float64)
         total += float(np.dot(g64.ravel(), g64.ravel()))
     return float(np.sqrt(total))
+
+
+def health_from_sums(
+    sums: Iterable[float], clip_norm: float | None
+) -> GradientHealth:
+    """The verdict from per-tensor float64 sums of squares.
+
+    The sums are added in the order given, from ``0.0``, so for sums
+    taken by ``np.dot`` on the float64 widening of each tensor this is
+    bitwise :func:`check_gradients` over the tensors in that order (a sum
+    is non-finite exactly when its tensor is; see
+    :meth:`GradientHealth.from_sumsq`).
+    """
+    total = 0.0
+    for s in sums:
+        total += s
+    return GradientHealth.from_sumsq(total, clip_norm)
 
 
 def check_gradients(grads: Params, clip_norm: float | None) -> GradientHealth:
@@ -164,8 +188,9 @@ class LossScaler:
 class MixedPrecisionState:
     """Master fp32 weights plus their low-precision model copy.
 
-    The forward/backward pass consumes :attr:`model_fp16` (fp16 by
-    default, bf16 when ``low_dtype="bf16"``); the optimizer updates
+    The forward/backward pass consumes :attr:`model_fp16` — fp16 values
+    by default, bf16 when ``low_dtype="bf16"``, fp32 storage either way
+    (the module's storage rule); the optimizer updates
     :attr:`master_fp32`; :meth:`sync_model_copy` is the cast the
     superchip-aware casting decision prices (§4.5).
     """
@@ -174,9 +199,10 @@ class MixedPrecisionState:
     model_fp16: Params = field(default_factory=dict)
     low_dtype: str = "fp16"
     #: Set when the master weights form a :class:`FlatArena`: the
-    #: low-precision copy then lives in a same-layout arena and a full
-    #: sync is one flat cast over the buffer instead of per-tensor
-    #: allocations.  ``model_fp16``'s values become *stable* views.
+    #: low-precision copy then lives in a same-layout fp32 arena and a
+    #: full sync is one rounding pass over the buffer instead of
+    #: per-tensor allocations.  ``model_fp16``'s values become *stable*
+    #: views.
     master_arena: Optional[FlatArena] = field(default=None, repr=False)
     low_arena: Optional[FlatArena] = field(default=None, repr=False)
 
@@ -189,9 +215,7 @@ class MixedPrecisionState:
         if not self.model_fp16:
             self.master_arena = FlatArena.wrap(self.master_fp32)
             if self.master_arena is not None:
-                # bf16 is emulated with fp32 storage (see lower_precision).
-                low_dt = np.float16 if self.low_dtype == "fp16" else np.float32
-                self.low_arena = self.master_arena.like(low_dt)
+                self.low_arena = self.master_arena.like()
                 self.model_fp16 = dict(self.low_arena.views)
             self.sync_model_copy()
 
@@ -199,20 +223,15 @@ class MixedPrecisionState:
         """Refresh the low-precision copy from the master (all or subset)."""
         if self.low_arena is not None:
             if names is None:
-                # One flat chunked cast over the whole buffer — bitwise
-                # identical to the per-tensor casts (casting is elementwise).
-                if self.low_dtype == "fp16":
-                    parallel_cast(self.low_arena.flat, self.master_arena.flat,
-                                  ignore_overflow=True)
-                else:
-                    parallel_cast(self.low_arena.flat, self.master_arena.flat,
-                                  bf16=True)
+                # One flat rounding pass over the whole buffer — bitwise
+                # the per-tensor rounding (it is elementwise).
+                lower_precision(self.master_arena.flat, self.low_dtype,
+                                self.low_arena.flat)
                 self.low_arena.note_alias(self.low_arena.flat.nbytes)
             else:
                 for name in names:
-                    self.model_fp16[name][...] = lower_precision(
-                        self.master_fp32[name], self.low_dtype
-                    )
+                    lower_precision(self.master_fp32[name], self.low_dtype,
+                                    self.model_fp16[name])
             return
         for name in names if names is not None else self.master_fp32:
             self.model_fp16[name] = lower_precision(
@@ -225,6 +244,6 @@ class MixedPrecisionState:
         syncs."""
         worst = 0.0
         for name, master in self.master_fp32.items():
-            fp32_view = self.model_fp16[name].astype(np.float32)
-            worst = max(worst, float(np.max(np.abs(master - fp32_view))))
+            worst = max(worst, float(np.max(np.abs(
+                master - self.model_fp16[name]))))
         return worst

@@ -305,6 +305,20 @@ def zero_disk_sync_step(
 # -- data-parallel trainer: the unfused gradient path --------------------
 
 
+def fp16_model_copy(arena, out=None):
+    """Narrow ``arena``'s fp32 plane into a float16 arena of its layout.
+
+    The model copy :func:`dp_step_reference` reads and refreshes —
+    native float16 storage, numpy's scalar casts.  A fresh arena unless
+    ``out`` (a float16 arena of the same layout) is given.
+    """
+    if out is None:
+        out = arena.like(np.float16)
+    with np.errstate(over="ignore"):
+        out.flat[...] = arena.flat
+    return out
+
+
 def dp_step_reference(
     model,
     optimizer,
@@ -333,8 +347,9 @@ def dp_step_reference(
         model: a :class:`~repro.numeric.transformer.TinyTransformer`
             whose ``params`` ``optimizer`` adopted.
         optimizer: the :class:`~repro.parallel.zero.ZeroShardedAdam`.
-        fp16: a float16 arena with the optimizer's layout — the model
-            copy the forward reads and this step refreshes.
+        fp16: a float16 arena with the optimizer's layout (see
+            :func:`fp16_model_copy`) — the model copy the forward reads
+            and this step refreshes.
         clip_norm: global clipping threshold (``None`` disables).
 
     Returns:
@@ -365,6 +380,5 @@ def dp_step_reference(
         for ga in grad_arenas:
             ga.flat *= coef
     optimizer.step_flat([ga.flat for ga in grad_arenas])
-    with np.errstate(over="ignore"):
-        fp16.flat[...] = optimizer.arena.flat
+    fp16_model_copy(optimizer.arena, fp16)
     return float(np.mean(losses)), health

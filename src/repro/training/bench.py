@@ -261,8 +261,7 @@ def _bench_dp_step(
     model = TinyTransformer(spec, seed=seed)
     optimizer = ZeroShardedAdam(model.params, world_size, pipeline=True,
                                 pool=pool)
-    fp16 = optimizer.arena.like(np.float16)
-    fp16.flat[...] = optimizer.arena.flat
+    fp16 = reference.fp16_model_copy(optimizer.arena)
     batches = SyntheticPile(spec.vocab, seed=seed).batches(
         batch, spec.max_seq)
 
@@ -289,8 +288,7 @@ def _bench_dp_step(
     optimizer.arena.flat[...] = trainer.arena.flat
     optimizer.load_moments(**trainer.optimizer.moment_planes(),
                            steps=trainer.optimizer.shard_steps())
-    with np.errstate(over="ignore"):
-        fp16.flat[...] = optimizer.arena.flat   # the step's own narrow cast
+    reference.fp16_model_copy(optimizer.arena, fp16)   # as a step ends
     ids, targets = next(batches)
     plane_bytes = trainer.arena.layout.unpadded * 4
     norms, copies = [], []

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.data.synthetic import SyntheticPile
 from repro.exec.pool import KernelPool
+from repro.numeric.lowprec import round_fp16
 from repro.numeric.transformer import TinyTransformer, TransformerParams
 from repro.optim.adam import AdamConfig
 from repro.parallel.comm import SimProcessGroup
@@ -159,17 +160,14 @@ class DataParallelTrainer:
             bucket_elements=bucket_elements, pool=pool,
             pinned_pool=pinned_pool, offload=offload, spill_dir=spill_dir,
         )
-        # The sharded optimizer adopted the params into a flat arena;
-        # allocate same-layout planes for the fp16 model copy and the
-        # widened fp32 working copy so the per-step casts are single flat
-        # passes over contiguous memory.
+        # The sharded optimizer adopted the params into a flat arena; the
+        # fp16 model copy every rank's forward reads is a same-layout fp32
+        # plane of fp16 values, refreshed by one rounding pass per
+        # applied step (stable views).
         self.arena = self.optimizer.arena
-        self._fp16_arena = self.arena.like(np.float16)
-        self._wide_arena = self.arena.like(np.float32)
-        with np.errstate(over="ignore"):
-            self._fp16_arena.flat[...] = self.arena.flat
-        # every rank holds the same gathered fp16 copy (stable views)
-        self._fp16 = dict(self._fp16_arena.views)
+        self._model_arena = self.arena.like()
+        self._model_copy = dict(self._model_arena.views)
+        self._sync_model_copy()
         self.iteration = 0
         self._checkpointer = None
         self._ckpt_every = 1
@@ -211,9 +209,9 @@ class DataParallelTrainer:
         Returns ``True`` when a checkpoint was restored: the master
         plane, the optimizer moments and step counters, and the
         iteration counter come back exactly as committed, and the fp16
-        copy is refreshed from the master — the same cast the end of the
-        checkpointed step performed, so the continuation is bit-identical
-        to a run that was never interrupted.
+        copy is refreshed from the master — the same rounding the end of
+        the checkpointed step performed, so the continuation is
+        bit-identical to a run that was never interrupted.
         """
         if self._checkpointer is None:
             raise RuntimeError("attach_checkpointer first")
@@ -228,9 +226,12 @@ class DataParallelTrainer:
         )
         self.optimizer.load_moments(m, v, info.meta["shard_steps"])
         self.iteration = int(info.meta["iteration"])
-        with np.errstate(over="ignore"):
-            self._fp16_arena.flat[...] = self.arena.flat
+        self._sync_model_copy()
         return True
+
+    def _sync_model_copy(self) -> None:
+        """Round the master into the fp16 model copy (fp32 storage)."""
+        round_fp16(self.arena.flat, self._model_arena.flat)
 
     def _maybe_checkpoint(self) -> None:
         if self._checkpointer is None:
@@ -266,12 +267,7 @@ class DataParallelTrainer:
     def _step(self, ids: np.ndarray, targets: np.ndarray) -> DPStepReport:
         tracer = self.telemetry.tracer
         shards = shard_batch(ids, targets, self.world_size)
-        with tracer.span("cast", category="cast", direction="widen"):
-            # one flat widening cast (bitwise identical to per-tensor
-            # from_fp16)
-            self._wide_arena.flat[...] = self._fp16_arena.flat
-            self._wide_arena.note_alias(self._wide_arena.flat.nbytes)
-            widened = dict(self._wide_arena.views)
+        params = self._model_copy
         # each rank's backward output buffer, and the optimizer's input
         grad_arenas = [
             self.optimizer.grad_arena(r) for r in range(self.world_size)
@@ -284,12 +280,12 @@ class DataParallelTrainer:
                     # backward writes this rank's gradients where the
                     # reduce-scatter reads them: no copy, no allocation
                     loss, _ = self.model.loss_and_grads(
-                        rank_ids, rank_targets, params=widened,
+                        rank_ids, rank_targets, params=params,
                         grads_out=ga.views,
                     )
                 else:
                     loss, grads = self.plan_model.loss_and_grads(
-                        rank_ids, rank_targets, params=widened
+                        rank_ids, rank_targets, params=params
                     )
                     ga.fill_from(grads)
                 losses.append(loss)
@@ -302,10 +298,8 @@ class DataParallelTrainer:
         skipped = health.has_nan_or_inf
         if not skipped:
             with tracer.span("cast", category="cast", direction="narrow"):
-                # one flat narrowing cast back into the fp16 plane
-                with np.errstate(over="ignore"):
-                    self._fp16_arena.flat[...] = self.arena.flat
-                self._fp16_arena.note_alias(self._fp16_arena.flat.nbytes)
+                self._sync_model_copy()
+                self._model_arena.note_alias(self._model_arena.flat.nbytes)
         report = DPStepReport(
             iteration=self.iteration,
             loss=float(np.mean(losses)),

@@ -82,24 +82,6 @@ _T = (
         "repro.exec.ops",
     ),
     Tunable(
-        "cast.min_parallel", 1 << 17, 1, 1 << 26, _pow2(13, 22),
-        "crossover",
-        "elements below which dtype-converting copies run inline",
-        "repro.exec.ops",
-    ),
-    Tunable(
-        "scale_into.min_parallel", 1 << 17, 1, 1 << 26, _pow2(13, 22),
-        "crossover",
-        "elements below which dst = src * scale runs inline",
-        "repro.exec.ops",
-    ),
-    Tunable(
-        "add_scaled.min_parallel", 1 << 17, 1, 1 << 26, _pow2(13, 22),
-        "crossover",
-        "elements below which dst += src * scale runs inline",
-        "repro.exec.ops",
-    ),
-    Tunable(
         "reduce.min_parallel", 1 << 17, 1, 1 << 26, _pow2(13, 22),
         "crossover",
         "elements below which the fixed-order reduce runs inline",

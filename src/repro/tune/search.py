@@ -247,38 +247,6 @@ def _build_copy(rng, n, pool):
     return op, [dst]
 
 
-def _build_cast(rng, n, pool):
-    src = rng.standard_normal(n, dtype=np.float32)
-    dst = np.empty(n, dtype=np.float16)
-
-    def op() -> None:
-        ops.parallel_cast(dst, src, ignore_overflow=True, pool=pool)
-
-    return op, [dst]
-
-
-def _build_scale_into(rng, n, pool):
-    src = rng.standard_normal(n, dtype=np.float32)
-    dst = np.empty_like(src)
-    scale = np.float32(1.0 / 1024.0)
-
-    def op() -> None:
-        ops.parallel_scale_into(dst, src, scale, pool=pool)
-
-    return op, [dst]
-
-
-def _build_add_scaled(rng, n, pool):
-    src = rng.standard_normal(n, dtype=np.float32)
-    dst = rng.standard_normal(n, dtype=np.float32)
-    scale = np.float32(1e-3)
-
-    def op() -> None:
-        ops.parallel_add_scaled(dst, src, scale, pool=pool)
-
-    return op, [dst]
-
-
 def _build_reduce(rng, n, pool):
     sources = [rng.standard_normal(n, dtype=np.float32) for _ in range(4)]
     dst = np.empty(n, dtype=np.float32)
@@ -294,9 +262,6 @@ _OP_SPECS = (
     _OpSpec("adam.min_parallel", _build_adam),
     _OpSpec("scale.min_parallel", _build_scale),
     _OpSpec("copy.min_parallel", _build_copy),
-    _OpSpec("cast.min_parallel", _build_cast),
-    _OpSpec("scale_into.min_parallel", _build_scale_into),
-    _OpSpec("add_scaled.min_parallel", _build_add_scaled),
     _OpSpec("reduce.min_parallel", _build_reduce),
 )
 

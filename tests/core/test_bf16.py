@@ -13,7 +13,11 @@ from repro.optim.mixed_precision import MixedPrecisionState, lower_precision
 class TestLowerPrecision:
     def test_fp16_route(self, rng):
         x = rng.standard_normal(8).astype(np.float32)
-        assert lower_precision(x, "fp16").dtype == np.float16
+        y = lower_precision(x, "fp16")
+        assert y.dtype == np.float32
+        np.testing.assert_array_equal(
+            y.view(np.uint32),
+            x.astype(np.float16).astype(np.float32).view(np.uint32))
 
     def test_bf16_keeps_fp32_storage_and_range(self):
         x = np.array([1e38], dtype=np.float32)

@@ -5,35 +5,37 @@ import pytest
 
 from repro.core.stv import STVEngine, SynchronousEngine
 from repro.core.validator import BackgroundValidator
+from repro.exec.kernels import grad_sumsq
 from repro.numeric.transformer import TinyTransformer
 from repro.optim import AdamConfig, GraceAdam, LossScaler
+
+
+def sums(g):
+    """The job the engines submit for one gradient tensor ``g``."""
+    return [grad_sumsq(np.asarray(g, dtype=np.float32))]
 
 
 class TestBackgroundValidator:
     def test_healthy_verdict(self):
         with BackgroundValidator() as v:
-            ticket = v.submit({"g": np.ones(8, dtype=np.float32)}, 100.0)
+            ticket = v.submit(sums(np.ones(8)), 100.0)
             health = ticket.result(timeout=5)
         assert health.speculation_valid
 
     def test_overflow_verdict(self):
         with BackgroundValidator() as v:
-            health = v.submit(
-                {"g": np.array([np.inf], dtype=np.float32)}, None
-            ).result(timeout=5)
+            health = v.submit(sums([np.inf]), None).result(timeout=5)
         assert health.has_nan_or_inf
 
     def test_clip_verdict(self):
         with BackgroundValidator() as v:
-            health = v.submit(
-                {"g": np.full(100, 5.0, dtype=np.float32)}, 1.0
-            ).result(timeout=5)
+            health = v.submit(sums(np.full(100, 5.0)), 1.0).result(timeout=5)
         assert health.clip_triggered
 
     def test_multiple_jobs_in_order(self):
         with BackgroundValidator() as v:
             tickets = [
-                v.submit({"g": np.full(4, float(i), dtype=np.float32)}, None)
+                v.submit(sums(np.full(4, float(i))), None)
                 for i in range(1, 6)
             ]
             norms = [t.result(timeout=5).global_norm for t in tickets]
@@ -44,7 +46,7 @@ class TestBackgroundValidator:
         v = BackgroundValidator()
         v.close()
         with pytest.raises(RuntimeError):
-            v.submit({"g": np.ones(1, dtype=np.float32)}, None)
+            v.submit(sums(np.ones(1)), None)
 
     def test_close_idempotent(self):
         v = BackgroundValidator()
@@ -53,7 +55,7 @@ class TestBackgroundValidator:
 
     def test_done_polling(self):
         with BackgroundValidator() as v:
-            ticket = v.submit({"g": np.ones(2, dtype=np.float32)}, None)
+            ticket = v.submit(sums(np.ones(2)), None)
             ticket.result(timeout=5)
             assert ticket.done()
 

@@ -16,16 +16,14 @@ import repro.exec.ops as ops
 from repro import reference
 from repro.exec import kernels
 from repro.exec.ops import (
-    parallel_add_scaled,
     parallel_adam_flat,
-    parallel_cast,
     parallel_copy,
     parallel_reduce,
     parallel_scale,
-    parallel_scale_into,
 )
+from repro.exec.plan import ChunkPlan
 from repro.exec.pool import KernelPool
-from repro.numeric.lowprec import to_bf16
+from repro.numeric.lowprec import round_bf16, round_fp16
 from repro.optim import AdamConfig, GraceAdam
 from repro.tensors.arena import FlatArena
 
@@ -133,7 +131,8 @@ class TestAdamStepIdentity:
 
 
 class TestSimpleOpIdentity:
-    """scale / copy / cast / accumulate match their serial forms."""
+    """scale / copy and the rounding kernels (fp16, bf16, gradient
+    landing) match their serial forms for any tiling, on any thread."""
 
     @pytest.mark.parametrize("n", ADVERSARIAL_SIZES)
     def test_scale_matches_inplace_multiply(self, pool, n):
@@ -156,38 +155,66 @@ class TestSimpleOpIdentity:
     @pytest.mark.parametrize("n", ADVERSARIAL_SIZES)
     def test_fp16_cast_matches_astype(self, pool, n):
         rng = np.random.default_rng(n)
-        # include overflow values: the fp16 cast must saturate to inf
+        # include overflow values: the rounding must saturate to inf
         # identically, with no warning escaping the worker thread
         src = (rng.standard_normal(n) * 1e5).astype(np.float32)
-        ref = np.empty(n, dtype=np.float16)
         with np.errstate(over="ignore"):
-            ref[...] = src
-        dst = np.empty(n, dtype=np.float16)
-        parallel_cast(dst, src, ignore_overflow=True, pool=pool)
-        np.testing.assert_array_equal(dst, ref)
+            ref = src.astype(np.float16).astype(np.float32)
+        np.testing.assert_array_equal(round_fp16(src, tile=n), ref)
+        dst = np.empty(n, dtype=np.float32)
+        tile = _tile_for(n, pool)
+        pool.run(lambda lo, hi: round_fp16(src[lo:hi], dst[lo:hi], tile),
+                 ChunkPlan.split(n, pool.workers, 1))
+        np.testing.assert_array_equal(dst.view(np.uint32),
+                                      ref.view(np.uint32))
 
     @pytest.mark.parametrize("n", ADVERSARIAL_SIZES)
     def test_bf16_cast_matches_to_bf16(self, pool, n):
         rng = np.random.default_rng(n)
         src = rng.standard_normal(n).astype(np.float32)
+        bits = src.view(np.uint32)
+        ref = ((bits + 0x7FFF + ((bits >> 16) & 1)) & 0xFFFF0000).view(
+            np.float32)
+        np.testing.assert_array_equal(round_bf16(src, tile=n), ref)
         dst = np.empty(n, dtype=np.float32)
-        parallel_cast(dst, src, bf16=True, pool=pool)
-        np.testing.assert_array_equal(dst, to_bf16(src))
+        tile = _tile_for(n, pool)
+        pool.run(lambda lo, hi: round_bf16(src[lo:hi], dst[lo:hi], tile),
+                 ChunkPlan.split(n, pool.workers, 1))
+        np.testing.assert_array_equal(dst, ref)
 
     @pytest.mark.parametrize("n", ADVERSARIAL_SIZES)
     def test_accumulate_matches_serial(self, pool, n):
+        """The STV gradient landing: first landing and accumulation equal
+        the unfused fp16 round trip + multiply (+ add), tiled on any
+        thread."""
         rng = np.random.default_rng(n)
         dst0 = rng.standard_normal(n).astype(np.float32)
-        src = rng.standard_normal(n).astype(np.float32)
+        src = (rng.standard_normal(n) * 300).astype(np.float32)
         scale = np.float32(1.0 / 7.0)
-        ref = dst0.copy()
-        ref += src * scale
-        dst = dst0.copy()
-        parallel_add_scaled(dst, src, scale, pool=pool)
-        np.testing.assert_array_equal(dst, ref)
-        out = np.empty(n, dtype=np.float32)
-        parallel_scale_into(out, src, scale, pool=pool)
-        np.testing.assert_array_equal(out, src * scale)
+        boost = np.float32(250.0)
+        with np.errstate(over="ignore"):
+            g16 = (src * boost).astype(np.float16)
+        with np.errstate(invalid="ignore"):
+            ref_acc = dst0 + g16 * scale
+        ref_land = g16 * scale
+        tile = _tile_for(n, pool)
+        for accumulate, ref in ((True, ref_acc), (False, ref_land)):
+            serial = dst0.copy()
+            kernels.land_grad(serial, src, scale, boost=boost,
+                              accumulate=accumulate, tile=n)
+            np.testing.assert_array_equal(serial, ref)
+            dst = dst0.copy()
+            pool.run(
+                lambda lo, hi: kernels.land_grad(
+                    dst[lo:hi], src[lo:hi], scale, boost=boost,
+                    accumulate=accumulate, tile=tile),
+                ChunkPlan.split(n, pool.workers, 1))
+            np.testing.assert_array_equal(dst, ref)
+
+
+def _tile_for(n, pool):
+    """A rounding tile that cuts each worker's chunk into ragged tiles."""
+    return max(1, n // (2 * pool.workers) + 1)
 
 
 class TestReduceIdentity:

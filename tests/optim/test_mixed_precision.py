@@ -117,7 +117,11 @@ class TestMixedPrecisionState:
     def test_fp16_copy_created_on_init(self, rng):
         master = {"w": rng.standard_normal(8).astype(np.float32)}
         mp = MixedPrecisionState(master_fp32=master)
-        assert mp.model_fp16["w"].dtype == np.float16
+        assert mp.model_fp16["w"].dtype == np.float32
+        np.testing.assert_array_equal(
+            mp.model_fp16["w"].view(np.uint32),
+            master["w"].astype(np.float16).astype(np.float32)
+            .view(np.uint32))
 
     def test_drift_zero_after_sync(self, rng):
         master = {"w": rng.standard_normal(8).astype(np.float32)}

@@ -52,7 +52,7 @@ def planes(trainer):
     """Every plane a step may write, plus the step counters."""
     out = dict(trainer.optimizer.moment_planes())
     out["master"] = trainer.arena.flat.copy()
-    out["fp16"] = trainer._fp16_arena.flat.copy()
+    out["fp16"] = trainer._model_arena.flat.copy()
     out["steps"] = np.array(trainer.optimizer.shard_steps())
     return out
 
@@ -69,9 +69,7 @@ def reference_twin(world, seed, mode, spill_dir):
     model = TinyTransformer(SPEC, seed=seed)
     optimizer = ZeroShardedAdam(model.params, world, config=ADAM,
                                 **schedule_args(mode, spill_dir))
-    fp16 = optimizer.arena.like(np.float16)
-    fp16.flat[...] = optimizer.arena.flat
-    return model, optimizer, fp16
+    return model, optimizer, reference.fp16_model_copy(optimizer.arena)
 
 
 class TestAgainstReference:
@@ -101,7 +99,7 @@ class TestAgainstReference:
                     optimizer.load_moments(
                         **trainer.optimizer.moment_planes(),
                         steps=trainer.optimizer.shard_steps())
-                    fp16.flat[...] = trainer._fp16_arena.flat
+                    fp16.flat[...] = trainer._model_arena.flat
                     report = trainer.train_step(ids, targets)
                     loss, health = reference.dp_step_reference(
                         model, optimizer, fp16, ids, targets, clip)
@@ -131,7 +129,9 @@ class TestAgainstReference:
             assert report.loss == loss
         np.testing.assert_array_equal(trainer.arena.flat,
                                       optimizer.arena.flat)
-        np.testing.assert_array_equal(trainer._fp16_arena.flat, fp16.flat)
+        np.testing.assert_array_equal(
+            trainer._model_arena.flat,
+            fp16.flat.astype(np.float32))
 
     def test_loose_threshold_clips_some_steps_not_all(self):
         """LOOSE sits inside this model's gradient-norm range, so the

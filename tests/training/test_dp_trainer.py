@@ -82,7 +82,11 @@ class TestDPBehaviour:
         trainer = DataParallelTrainer(spec, 2, adam=AdamConfig(lr=5e-3))
         trainer.train(2, batch=4)
         for k, master in trainer.model.params.items():
-            drift = np.abs(
-                master - trainer._fp16[k].astype(np.float32)
-            ).max()
+            copy = trainer._model_copy[k]
+            assert copy.dtype == np.float32
+            np.testing.assert_array_equal(
+                copy.view(np.uint32),
+                master.astype(np.float16).astype(np.float32)
+                .view(np.uint32))
+            drift = np.abs(master - copy).max()
             assert drift <= np.abs(master).max() * 2**-10 + 1e-6

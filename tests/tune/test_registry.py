@@ -31,13 +31,20 @@ def test_expected_tunables_present():
     # registered knob; a rename here must be deliberate.
     assert {
         "adam.min_parallel", "adam.cache_tile", "scale.min_parallel",
-        "copy.min_parallel", "cast.min_parallel",
-        "scale_into.min_parallel", "add_scaled.min_parallel",
-        "reduce.min_parallel", "grace.tile_size", "flash.block_q",
+        "copy.min_parallel", "reduce.min_parallel", "grace.tile_size",
+        "flash.block_q",
         "flash.block_k", "rollback.snapshot_cutoff",
         "zero.bucket_elements", "zero.min_pipeline", "pool.workers",
         "spill.chunk_bytes", "spill.prefetch_depth", "spill.writer_queue",
     } <= names
+
+
+def test_rounding_kernels_have_no_crossover():
+    """The fp16/bf16 rounding and the gradient landing run on the calling
+    thread; the crossovers of the casts they replaced are gone."""
+    names = set(registry.names())
+    assert not {"cast.min_parallel", "scale_into.min_parallel",
+                "add_scaled.min_parallel"} & names
 
 
 def test_spill_workload_has_revert_entries():

@@ -19,6 +19,7 @@ from repro import reference
 from repro.exec import kernels, ops
 from repro.exec.pool import KernelPool
 from repro.numeric import flash
+from repro.numeric.lowprec import round_fp16
 from repro.optim import AdamConfig, GraceAdam
 from repro.optim.rollback import SnapshotRollback
 from repro.parallel.zero import ZeroShardedAdam
@@ -38,8 +39,7 @@ CROSSOVER_SAMPLES = (1, 64, 4096, 1 << 17, 1 << 26)
 
 OP_CROSSOVERS = (
     "adam.min_parallel", "scale.min_parallel", "copy.min_parallel",
-    "cast.min_parallel", "scale_into.min_parallel",
-    "add_scaled.min_parallel", "reduce.min_parallel",
+    "reduce.min_parallel",
 )
 
 
@@ -93,26 +93,24 @@ def test_every_op_bitwise_under_sampled_config(pool, prof, size, seed):
         ops.parallel_copy(dst, src, pool=pool)
     np.testing.assert_array_equal(dst, src)
 
-    serial16 = np.empty(size, np.float16)
-    kernels.cast_chunk(0, size, serial16, src, True)
-    tuned16 = np.empty(size, np.float16)
+    # The rounding kernels have no tunable: serial (one tile) == tiled
+    # (ragged tiles) under any profile.
+    tile = max(1, size // 3)
+    wide = src * np.float32(4e4)
+    serial16 = round_fp16(wide, tile=size)
     with runtime.overridden(prof):
-        ops.parallel_cast(tuned16, src, ignore_overflow=True, pool=pool)
-    np.testing.assert_array_equal(tuned16, serial16)
+        tiled16 = round_fp16(wide, tile=tile)
+    np.testing.assert_array_equal(tiled16, serial16)
 
-    serial_si = np.empty_like(src)
-    kernels.scale_into_chunk(0, size, serial_si, src, scale)
-    tuned_si = np.empty_like(src)
-    with runtime.overridden(prof):
-        ops.parallel_scale_into(tuned_si, src, scale, pool=pool)
-    np.testing.assert_array_equal(tuned_si, serial_si)
-
-    serial_as = acc.copy()
-    kernels.add_scaled_chunk(0, size, serial_as, src, scale)
-    tuned_as = acc.copy()
-    with runtime.overridden(prof):
-        ops.parallel_add_scaled(tuned_as, src, scale, pool=pool)
-    np.testing.assert_array_equal(tuned_as, serial_as)
+    for accumulate in (False, True):
+        serial_l = acc.copy()
+        kernels.land_grad(serial_l, wide, scale, accumulate=accumulate,
+                          tile=size)
+        tiled_l = acc.copy()
+        with runtime.overridden(prof):
+            kernels.land_grad(tiled_l, wide, scale, accumulate=accumulate,
+                              tile=tile)
+        np.testing.assert_array_equal(tiled_l, serial_l)
 
     sources = [rng.standard_normal(size).astype(np.float32)
                for _ in range(3)]
