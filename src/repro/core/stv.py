@@ -22,14 +22,15 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.exec.kernels import grad_sumsq, land_grad
 from repro.exec.ops import parallel_scale
+from repro.numeric.lowprec import land_grad
 from repro.numeric.transformer import TinyTransformer
 from repro.optim.implementations import AdamOptimizer, CPUAdam
 from repro.optim.mixed_precision import (
     LossScaler,
     MixedPrecisionState,
     clip_coefficient,
+    grad_sumsq,
     health_from_sums,
 )
 from repro.optim.rollback import RollbackStrategy, make_rollback

@@ -11,8 +11,8 @@ package is the substrate's execution layer for that idea:
   futures and per-worker telemetry (``exec_chunks_total``,
   ``exec_busy_ms``);
 * :mod:`repro.exec.kernels` — fused, allocation-free chunk kernels
-  (AdamW, scale, memcpy, fixed-order reduce, the STV gradient landing)
-  that are bitwise identical to their serial ancestors for any chunking;
+  (AdamW, scale, memcpy, fixed-order reduce) that are bitwise
+  identical to their serial ancestors for any chunking;
 * :mod:`repro.exec.ops` — the call-site surface routing the hot paths
   (CPUAdam/GraceAdam flat step, snapshot rollback, STV clip, the
   pipelined ZeRO bucket reduce) through the pool.

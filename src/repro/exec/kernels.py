@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.numeric.lowprec import ROUND_TILE, ROUND_TILES, round_scratch
 from repro.tune.registry import default as _registry_default
 
 #: Elements per cache sub-tile inside a chunk.  Six fp32 streams (p, m,
@@ -153,75 +152,6 @@ def scale_chunk(lo: int, hi: int, buf: np.ndarray, coef: np.float32) -> None:
 def copy_chunk(lo: int, hi: int, dst: np.ndarray, src: np.ndarray) -> None:
     """``dst[lo:hi] = src[lo:hi]`` — the parallel memcpy."""
     np.copyto(dst[lo:hi], src[lo:hi])
-
-
-def land_grad(
-    dst: np.ndarray,
-    src: np.ndarray,
-    inv: np.float32,
-    precision: str = "fp16",
-    boost: np.float32 | None = None,
-    accumulate: bool = False,
-    tile: int = ROUND_TILE,
-) -> None:
-    """Land one backward gradient: ``dst = round(src * boost) * inv``.
-
-    ``round`` is the training precision's rounding kernel
-    (:func:`~repro.numeric.lowprec.round_fp16` or ``round_bf16``): the
-    gradient passes through the low-precision format exactly where a
-    mixed-precision backward produces it, so an fp16 overflow becomes
-    inf.  ``inv`` unscales the loss scale; ``boost`` (``None`` skips
-    it) is the engines' gradient-injection multiplier.  With
-    ``accumulate`` the product is added into ``dst`` instead (micro-
-    batch accumulation), under the invalid/overflow silencing that
-    ``inf - inf`` after an overflowed micro-batch needs — the health
-    check flags it downstream.
-
-    One tile at a time through per-thread scratch, on the calling
-    thread: bitwise the unfused sequence (fp32 multiply, round, fp32
-    multiply, fp32 add) for any ``tile``.
-    """
-    round_tile = ROUND_TILES[precision]
-    if dst.size != src.size or not dst.flags.c_contiguous:
-        raise ValueError("land_grad needs a contiguous dst of src's size")
-    flat_dst = dst.reshape(-1)
-    flat_src = src.reshape(-1)
-    n = flat_src.size
-    t, a, c = round_scratch(min(n, tile))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, tile):
-            hi = min(lo + tile, n)
-            k = hi - lo
-            tk = t[:k]
-            g = flat_src[lo:hi]
-            if boost is not None:
-                np.multiply(g, boost, out=tk)
-                g = tk
-            round_tile(g, tk, a[:k], c[:k])
-            if accumulate:
-                tk *= inv
-                flat_dst[lo:hi] += tk
-            else:
-                np.multiply(tk, inv, out=flat_dst[lo:hi])
-
-
-def grad_sumsq(g: np.ndarray) -> float:
-    """float64 sum of squares of one fp32 tensor, by ``np.dot``.
-
-    The widened copy goes to a persistent per-thread float64 scratch,
-    so the value is bitwise the norm term of
-    :func:`~repro.optim.mixed_precision.check_gradients` (fp32 ->
-    float64 is exact; ``np.dot`` does not depend on the buffer) without
-    its allocation.  Non-finite iff some element is (see
-    :func:`sumsq_chunk`).
-    """
-    flat = g.reshape(-1)
-    buf = getattr(_scratch, "dot64", None)
-    if buf is None or buf.size < flat.size:
-        buf = _scratch.dot64 = np.empty(flat.size, dtype=np.float64)
-    w = buf[: flat.size]
-    np.copyto(w, flat)
-    return float(np.dot(w, w))
 
 
 def reduce_chunk(

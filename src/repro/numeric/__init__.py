@@ -11,7 +11,6 @@ from repro.numeric.lowprec import (
     from_fp16,
     round_bf16,
     round_fp16,
-    to_bf16,
     to_fp16,
 )
 from repro.numeric.layers import (
@@ -37,7 +36,6 @@ __all__ = [
     "streaming_attention_backward",
     "to_fp16",
     "from_fp16",
-    "to_bf16",
     "round_fp16",
     "round_bf16",
     "cast_roundtrip_error",

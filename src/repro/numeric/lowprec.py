@@ -8,8 +8,9 @@ conversion is a scalar loop on common hosts (several ns per element each
 way); the rounding kernels are ten vectorised ufunc passes per cache tile
 and produce exactly the bits of ``x.astype(np.float16).astype(np.float32)``
 — overflow to inf, subnormals, signed zeros and NaN included.
-:func:`to_fp16` / :func:`from_fp16` remain as the numpy conversions (the
-oracle the kernel is tested against).  These helpers are the numeric twin
+:func:`land_grad` fuses the fp16/bf16 round trip into the STV engines'
+gradient landing.  :func:`to_fp16` / :func:`from_fp16` remain as the
+numpy conversions (the oracle the kernel is tested against).  These helpers are the numeric twin
 of the casting cost models in :mod:`repro.hardware.casting`.
 
 The int8 half of the module is the inference weight format: symmetric
@@ -56,17 +57,16 @@ _QUIET_BIT = np.uint32(0x00400000)
 _scratch = threading.local()
 
 
-def round_scratch(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three per-thread fp32 scratch tiles of at least ``n`` elements."""
+def _round_scratch() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three per-thread fp32 scratch tiles of :data:`ROUND_TILE` elements."""
     bufs = getattr(_scratch, "bufs", None)
-    if bufs is None or bufs[0].size < n:
-        size = max(n, ROUND_TILE)
-        bufs = tuple(np.empty(size, dtype=np.float32) for _ in range(3))
+    if bufs is None:
+        bufs = tuple(np.empty(ROUND_TILE, dtype=np.float32) for _ in range(3))
         _scratch.bufs = bufs
     return bufs
 
 
-def round_fp16_tile(
+def _round_fp16_tile(
     x: np.ndarray, out: np.ndarray, a: np.ndarray, c: np.ndarray
 ) -> None:
     """``out = fp16(x)`` as fp32 over one 1-D tile (``out`` may be ``x``).
@@ -93,7 +93,7 @@ def round_fp16_tile(
     np.bitwise_or(ab, cb, out=out.view(np.uint32))
 
 
-def round_bf16_tile(
+def _round_bf16_tile(
     x: np.ndarray, out: np.ndarray, a: np.ndarray, c: np.ndarray
 ) -> None:
     """``out = bf16(x)`` as fp32 over one 1-D tile (``out`` may be ``x``).
@@ -118,10 +118,10 @@ def round_bf16_tile(
         ob[nan] = quiet
 
 
-ROUND_TILES = {"fp16": round_fp16_tile, "bf16": round_bf16_tile}
+_ROUND_TILES = {"fp16": _round_fp16_tile, "bf16": _round_bf16_tile}
 
 
-def _round(tile_fn, src, out, tile: int) -> np.ndarray:
+def _round(tile_fn, src, out) -> np.ndarray:
     src = np.asarray(src, dtype=np.float32)
     if out is None:
         out = np.empty(src.shape, dtype=np.float32)
@@ -130,18 +130,16 @@ def _round(tile_fn, src, out, tile: int) -> np.ndarray:
             f"out must be fp32 of shape {src.shape}, got {out.dtype} "
             f"{out.shape}"
         )
-    if tile < 1:
-        raise ValueError(f"tile must be positive, got {tile}")
     flat_src = src.reshape(-1)   # a copy only when src is strided
     flat_out = (
         out.reshape(-1) if out.flags.c_contiguous
         else np.empty(out.size, dtype=np.float32)
     )
     n = flat_src.size
-    a, c, _ = round_scratch(min(n, tile))
+    a, c, _ = _round_scratch()
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, tile):
-            hi = min(lo + tile, n)
+        for lo in range(0, n, ROUND_TILE):
+            hi = min(lo + ROUND_TILE, n)
             tile_fn(flat_src[lo:hi], flat_out[lo:hi], a[:hi - lo],
                     c[:hi - lo])
     if not out.flags.c_contiguous:
@@ -149,26 +147,72 @@ def _round(tile_fn, src, out, tile: int) -> np.ndarray:
     return out
 
 
-def round_fp16(
-    src: np.ndarray, out: np.ndarray | None = None, tile: int = ROUND_TILE
-) -> np.ndarray:
+def round_fp16(src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The nearest fp16 value of each fp32 element, stored as fp32.
 
     Bitwise equal to ``src.astype(np.float16).astype(np.float32)`` for
     every fp32 input (values that round past 65504 become inf; NaN stays
-    NaN), at memory speed: ten ufunc passes per ``tile`` elements on the
-    calling thread.  ``out`` may alias ``src``; the result does not
-    depend on ``tile``.
+    NaN), at memory speed: ten ufunc passes per :data:`ROUND_TILE`
+    elements on the calling thread.  ``out`` may alias ``src``; the
+    kernel is elementwise, so any split of the input into separate calls
+    gives the same bits.
     """
-    return _round(round_fp16_tile, src, out, tile)
+    return _round(_round_fp16_tile, src, out)
 
 
-def round_bf16(
-    src: np.ndarray, out: np.ndarray | None = None, tile: int = ROUND_TILE
-) -> np.ndarray:
+def round_bf16(src: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The nearest bf16 value of each fp32 element, stored as fp32
     (round-to-nearest-even; NaN gives a quiet NaN of the same sign)."""
-    return _round(round_bf16_tile, src, out, tile)
+    return _round(_round_bf16_tile, src, out)
+
+
+def land_grad(
+    dst: np.ndarray,
+    src: np.ndarray,
+    inv: np.float32,
+    precision: str = "fp16",
+    boost: np.float32 | None = None,
+    accumulate: bool = False,
+) -> None:
+    """Land one backward gradient: ``dst = round(src * boost) * inv``.
+
+    ``round`` is the training precision's rounding kernel
+    (:func:`round_fp16` or :func:`round_bf16`): the gradient passes
+    through the low-precision format exactly where a mixed-precision
+    backward produces it, so an fp16 overflow becomes inf.  ``inv``
+    unscales the loss scale; ``boost`` (``None`` skips it) is the
+    engines' gradient-injection multiplier.  With ``accumulate`` the
+    product is added into ``dst`` instead (micro-batch accumulation),
+    under the invalid/overflow silencing that ``inf - inf`` after an
+    overflowed micro-batch needs — the health check flags it
+    downstream.
+
+    One :data:`ROUND_TILE` at a time through the rounding kernels'
+    per-thread scratch, on the calling thread: bitwise the unfused
+    sequence (fp32 multiply, round, fp32 multiply, fp32 add).
+    """
+    round_tile = _ROUND_TILES[precision]
+    if dst.size != src.size or not dst.flags.c_contiguous:
+        raise ValueError("land_grad needs a contiguous dst of src's size")
+    flat_dst = dst.reshape(-1)
+    flat_src = src.reshape(-1)
+    n = flat_src.size
+    t, a, c = _round_scratch()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, ROUND_TILE):
+            hi = min(lo + ROUND_TILE, n)
+            k = hi - lo
+            tk = t[:k]
+            g = flat_src[lo:hi]
+            if boost is not None:
+                np.multiply(g, boost, out=tk)
+                g = tk
+            round_tile(g, tk, a[:k], c[:k])
+            if accumulate:
+                tk *= inv
+                flat_dst[lo:hi] += tk
+            else:
+                np.multiply(tk, inv, out=flat_dst[lo:hi])
 
 
 def to_fp16(x: np.ndarray) -> np.ndarray:
@@ -180,11 +224,6 @@ def to_fp16(x: np.ndarray) -> np.ndarray:
 def from_fp16(x: np.ndarray) -> np.ndarray:
     """Widen fp16 back to fp32 (exact)."""
     return np.asarray(x, dtype=np.float16).astype(np.float32)
-
-
-def to_bf16(x: np.ndarray) -> np.ndarray:
-    """Round fp32 to bfloat16 precision, returned as (new) fp32 storage."""
-    return round_bf16(x)
 
 
 def cast_roundtrip_error(x: np.ndarray, dtype: str = "fp16") -> float:

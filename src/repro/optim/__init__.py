@@ -25,6 +25,7 @@ from repro.optim.mixed_precision import (
     check_gradients,
     clip_coefficient,
     global_grad_norm,
+    grad_sumsq,
     health_from_sums,
 )
 from repro.optim.rollback import (
@@ -52,6 +53,7 @@ __all__ = [
     "GradientHealth",
     "check_gradients",
     "global_grad_norm",
+    "grad_sumsq",
     "health_from_sums",
     "clip_coefficient",
     "RollbackStrategy",

@@ -14,6 +14,7 @@ hold, so the forward reads the copy directly with no widening pass.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional
 
@@ -93,16 +94,36 @@ def global_grad_norm(grads: Params) -> float:
     return float(np.sqrt(total))
 
 
+_dot_scratch = threading.local()
+
+
+def grad_sumsq(g: np.ndarray) -> float:
+    """float64 sum of squares of one fp32 tensor, by ``np.dot``.
+
+    The widened copy goes to a persistent per-thread float64 scratch, so
+    the value is bitwise the per-tensor term of :func:`global_grad_norm`
+    (fp32 -> float64 is exact; ``np.dot`` does not depend on the buffer)
+    without its allocation.  Non-finite iff some element is (see
+    :meth:`GradientHealth.from_sumsq`).
+    """
+    flat = g.reshape(-1)
+    buf = getattr(_dot_scratch, "buf", None)
+    if buf is None or buf.size < flat.size:
+        buf = _dot_scratch.buf = np.empty(flat.size, dtype=np.float64)
+    w = buf[: flat.size]
+    np.copyto(w, flat)
+    return float(np.dot(w, w))
+
+
 def health_from_sums(
     sums: Iterable[float], clip_norm: float | None
 ) -> GradientHealth:
     """The verdict from per-tensor float64 sums of squares.
 
     The sums are added in the order given, from ``0.0``, so for sums
-    taken by ``np.dot`` on the float64 widening of each tensor this is
-    bitwise :func:`check_gradients` over the tensors in that order (a sum
-    is non-finite exactly when its tensor is; see
-    :meth:`GradientHealth.from_sumsq`).
+    taken by :func:`grad_sumsq` this is bitwise :func:`check_gradients`
+    over the tensors in that order (a sum is non-finite exactly when its
+    tensor is; see :meth:`GradientHealth.from_sumsq`).
     """
     total = 0.0
     for s in sums:

@@ -5,9 +5,8 @@ import pytest
 
 from repro.core.stv import STVEngine, SynchronousEngine
 from repro.core.validator import BackgroundValidator
-from repro.exec.kernels import grad_sumsq
 from repro.numeric.transformer import TinyTransformer
-from repro.optim import AdamConfig, GraceAdam, LossScaler
+from repro.optim import AdamConfig, GraceAdam, LossScaler, grad_sumsq
 
 
 def sums(g):

@@ -23,7 +23,7 @@ from repro.exec.ops import (
 )
 from repro.exec.plan import ChunkPlan
 from repro.exec.pool import KernelPool
-from repro.numeric.lowprec import round_bf16, round_fp16
+from repro.numeric.lowprec import ROUND_TILE, land_grad, round_bf16, round_fp16
 from repro.optim import AdamConfig, GraceAdam
 from repro.tensors.arena import FlatArena
 
@@ -32,6 +32,10 @@ WORKER_COUNTS = (1, 2, 4)
 #: Adversarial plane sizes: vector-tile multiples, off-by-one tails,
 #: primes, and sizes not divisible by any tested worker count.
 ADVERSARIAL_SIZES = (1, 15, 16, 17, 97, 255, 256, 1009, 4096, 4097)
+
+#: The rounding kernels tile internally by ``ROUND_TILE``: sizes that
+#: straddle it make a worker's chunk start mid-tile of the serial call.
+ROUNDING_SIZES = ADVERSARIAL_SIZES + (ROUND_TILE + 1, 2 * ROUND_TILE + 5)
 
 
 @pytest.fixture(autouse=True)
@@ -152,7 +156,7 @@ class TestSimpleOpIdentity:
         parallel_copy(dst, src, pool=pool)
         np.testing.assert_array_equal(dst, src)
 
-    @pytest.mark.parametrize("n", ADVERSARIAL_SIZES)
+    @pytest.mark.parametrize("n", ROUNDING_SIZES)
     def test_fp16_cast_matches_astype(self, pool, n):
         rng = np.random.default_rng(n)
         # include overflow values: the rounding must saturate to inf
@@ -160,33 +164,31 @@ class TestSimpleOpIdentity:
         src = (rng.standard_normal(n) * 1e5).astype(np.float32)
         with np.errstate(over="ignore"):
             ref = src.astype(np.float16).astype(np.float32)
-        np.testing.assert_array_equal(round_fp16(src, tile=n), ref)
+        np.testing.assert_array_equal(round_fp16(src), ref)
         dst = np.empty(n, dtype=np.float32)
-        tile = _tile_for(n, pool)
-        pool.run(lambda lo, hi: round_fp16(src[lo:hi], dst[lo:hi], tile),
+        pool.run(lambda lo, hi: round_fp16(src[lo:hi], dst[lo:hi]),
                  ChunkPlan.split(n, pool.workers, 1))
         np.testing.assert_array_equal(dst.view(np.uint32),
                                       ref.view(np.uint32))
 
-    @pytest.mark.parametrize("n", ADVERSARIAL_SIZES)
+    @pytest.mark.parametrize("n", ROUNDING_SIZES)
     def test_bf16_cast_matches_to_bf16(self, pool, n):
         rng = np.random.default_rng(n)
         src = rng.standard_normal(n).astype(np.float32)
         bits = src.view(np.uint32)
         ref = ((bits + 0x7FFF + ((bits >> 16) & 1)) & 0xFFFF0000).view(
             np.float32)
-        np.testing.assert_array_equal(round_bf16(src, tile=n), ref)
+        np.testing.assert_array_equal(round_bf16(src), ref)
         dst = np.empty(n, dtype=np.float32)
-        tile = _tile_for(n, pool)
-        pool.run(lambda lo, hi: round_bf16(src[lo:hi], dst[lo:hi], tile),
+        pool.run(lambda lo, hi: round_bf16(src[lo:hi], dst[lo:hi]),
                  ChunkPlan.split(n, pool.workers, 1))
         np.testing.assert_array_equal(dst, ref)
 
-    @pytest.mark.parametrize("n", ADVERSARIAL_SIZES)
+    @pytest.mark.parametrize("n", ROUNDING_SIZES)
     def test_accumulate_matches_serial(self, pool, n):
         """The STV gradient landing: first landing and accumulation equal
-        the unfused fp16 round trip + multiply (+ add), tiled on any
-        thread."""
+        the unfused fp16 round trip + multiply (+ add), split across the
+        pool's threads."""
         rng = np.random.default_rng(n)
         dst0 = rng.standard_normal(n).astype(np.float32)
         src = (rng.standard_normal(n) * 300).astype(np.float32)
@@ -197,24 +199,17 @@ class TestSimpleOpIdentity:
         with np.errstate(invalid="ignore"):
             ref_acc = dst0 + g16 * scale
         ref_land = g16 * scale
-        tile = _tile_for(n, pool)
         for accumulate, ref in ((True, ref_acc), (False, ref_land)):
             serial = dst0.copy()
-            kernels.land_grad(serial, src, scale, boost=boost,
-                              accumulate=accumulate, tile=n)
+            land_grad(serial, src, scale, boost=boost, accumulate=accumulate)
             np.testing.assert_array_equal(serial, ref)
             dst = dst0.copy()
             pool.run(
-                lambda lo, hi: kernels.land_grad(
+                lambda lo, hi: land_grad(
                     dst[lo:hi], src[lo:hi], scale, boost=boost,
-                    accumulate=accumulate, tile=tile),
+                    accumulate=accumulate),
                 ChunkPlan.split(n, pool.workers, 1))
             np.testing.assert_array_equal(dst, ref)
-
-
-def _tile_for(n, pool):
-    """A rounding tile that cuts each worker's chunk into ragged tiles."""
-    return max(1, n // (2 * pool.workers) + 1)
 
 
 class TestReduceIdentity:

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.numeric.lowprec import cast_roundtrip_error, from_fp16, to_bf16, to_fp16
+from repro.numeric.lowprec import (
+    cast_roundtrip_error,
+    from_fp16,
+    round_bf16,
+    to_fp16,
+)
 
 
 def test_fp16_overflow_to_inf():
@@ -34,13 +39,13 @@ def test_bf16_roundtrip_error_bounded(x):
 
 def test_bf16_preserves_exact_powers_of_two():
     x = np.array([2.0**-30, 2.0**40, -2.0**10], dtype=np.float32)
-    np.testing.assert_array_equal(to_bf16(x), x)
+    np.testing.assert_array_equal(round_bf16(x), x)
 
 
 def test_bf16_keeps_fp32_range():
     """bf16's raison d'etre: 1e38 survives (it overflows fp16)."""
     x = np.array([1e38], dtype=np.float32)
-    assert np.isfinite(to_bf16(x)).all()
+    assert np.isfinite(round_bf16(x)).all()
     assert np.isinf(to_fp16(x)).all()
 
 
@@ -48,7 +53,7 @@ def test_bf16_round_to_nearest_even():
     # 1 + 2^-8 is exactly halfway between bf16 neighbours 1.0 and 1+2^-7;
     # round-to-even picks 1.0 (even mantissa).
     x = np.array([1.0 + 2.0**-8], dtype=np.float32)
-    assert to_bf16(x)[0] == 1.0
+    assert round_bf16(x)[0] == 1.0
 
 
 def test_unknown_dtype_rejected():
@@ -58,6 +63,6 @@ def test_unknown_dtype_rejected():
 
 def test_bf16_preserves_shape_noncontiguous():
     x = np.arange(12, dtype=np.float32).reshape(3, 4)[:, ::2]
-    y = to_bf16(x)
+    y = round_bf16(x)
     assert y.shape == x.shape
     np.testing.assert_array_equal(y, x)

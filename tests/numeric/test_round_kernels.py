@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exec import kernels
-from repro.numeric.lowprec import ROUND_TILE, round_bf16, round_fp16
+from repro.exec.plan import ChunkPlan
+from repro.numeric.lowprec import ROUND_TILE, land_grad, round_bf16, round_fp16
+from repro.optim.mixed_precision import grad_sumsq
 
 #: Low 13 mantissa bits — the ones fp16 drops — around the rounding
 #: decision: exact, just above, just below / at / just above the
@@ -25,6 +26,17 @@ LOW_BITS = (0, 1, 0xFFF, 0x1000, 0x1001, 0x1FFF)
 def numpy_fp16(x):
     with np.errstate(over="ignore", invalid="ignore"):
         return np.asarray(x, np.float32).astype(np.float16).astype(np.float32)
+
+
+def assert_split_invariant(fn, x, whole):
+    """``fn`` called once per chunk — so the chunks' tiles start at
+    offsets the whole call's tiles do not — gives ``whole``'s bits."""
+    for n_chunks in (2, 3, 7):
+        out = np.empty_like(x)
+        for lo, hi in ChunkPlan.split(x.size, n_chunks, 1).chunks:
+            fn(x[lo:hi], out[lo:hi])
+        np.testing.assert_array_equal(out.view(np.uint32),
+                                      whole.view(np.uint32))
 
 
 def assert_fp16_exact(x):
@@ -102,10 +114,9 @@ class TestRoundFp16:
     def test_tiling_is_bitwise_invariant(self, n):
         rng = np.random.default_rng(n)
         x = (rng.standard_normal(n) * 3e4).astype(np.float32)
-        whole = round_fp16(x, tile=n)
+        whole = round_fp16(x)
         np.testing.assert_array_equal(whole, numpy_fp16(x))
-        for tile in (1, 5, 64, ROUND_TILE):
-            np.testing.assert_array_equal(round_fp16(x, tile=tile), whole)
+        assert_split_invariant(round_fp16, x, whole)
 
     def test_views_shapes_and_aliasing(self, rng):
         base = (rng.standard_normal((37, 29)) * 1e3).astype(np.float32)
@@ -118,23 +129,21 @@ class TestRoundFp16:
         round_fp16(base, strided_out)
         np.testing.assert_array_equal(strided_out, numpy_fp16(base))
         inplace = base.copy()
-        round_fp16(inplace, inplace, tile=100)
+        round_fp16(inplace, inplace)
         np.testing.assert_array_equal(inplace, numpy_fp16(base))
 
-    def test_rejects_bad_out_and_tile(self):
+    def test_rejects_bad_out(self):
         x = np.ones(4, np.float32)
         with pytest.raises(ValueError):
             round_fp16(x, np.empty(5, np.float32))
         with pytest.raises(ValueError):
             round_fp16(x, np.empty(4, np.float16))
-        with pytest.raises(ValueError):
-            round_fp16(x, tile=0)
 
     def test_no_warning_escapes(self):
         x = np.array([1e6, -1e38, np.inf, np.nan], dtype=np.float32)
         with np.errstate(all="raise"):
             round_fp16(x)
-            kernels.land_grad(np.empty(4, np.float32), x, np.float32(0.5),
+            land_grad(np.empty(4, np.float32), x, np.float32(0.5),
                               boost=np.float32(1e30))
 
 
@@ -191,22 +200,19 @@ class TestRoundBf16:
         x = np.array([np.inf, -np.inf, 0.0, -0.0], dtype=np.float32)
         np.testing.assert_array_equal(bf16_bits(x), x.view(np.uint32))
 
-    @pytest.mark.parametrize("n", [1, 17, ROUND_TILE + 3])
+    @pytest.mark.parametrize("n", [1, 17, ROUND_TILE + 3, 2 * ROUND_TILE + 5])
     def test_tiling_is_bitwise_invariant(self, n):
         rng = np.random.default_rng(n)
         bits = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
         x = bits.view(np.float32)
-        whole = bf16_bits(x)
-        for tile in (1, 3, 1000):
-            np.testing.assert_array_equal(
-                round_bf16(x, tile=tile).view(np.uint32), whole)
+        assert_split_invariant(round_bf16, x, round_bf16(x))
 
 
 class TestLandGrad:
     """The STV gradient landing against the unfused sequence it fuses."""
 
     @pytest.mark.parametrize("precision", ["fp16", "bf16"])
-    @pytest.mark.parametrize("n", [1, 31, ROUND_TILE + 9])
+    @pytest.mark.parametrize("n", [1, 31, ROUND_TILE + 9, 2 * ROUND_TILE + 5])
     def test_matches_unfused(self, precision, n):
         rng = np.random.default_rng(n)
         g = (rng.standard_normal(n) * 2e3).astype(np.float32)
@@ -220,18 +226,21 @@ class TestLandGrad:
             acc0 = rng.standard_normal(n).astype(np.float32)
             acc = acc0 + low * inv
         out = np.empty(n, np.float32)
-        kernels.land_grad(out, g, inv, precision, boost, tile=1000)
+        land_grad(out, g, inv, precision, boost)
         np.testing.assert_array_equal(out, land)
-        kernels.land_grad(acc0, g, inv, precision, boost, accumulate=True)
+        assert_split_invariant(
+            lambda src, dst: land_grad(dst, src, inv, precision, boost),
+            g, land)
+        land_grad(acc0, g, inv, precision, boost, accumulate=True)
         np.testing.assert_array_equal(acc0, acc)
 
     def test_shapes_and_rejects_strided_dst(self):
         g = np.ones((4, 6), np.float32)
         out = np.empty((4, 6), np.float32)
-        kernels.land_grad(out, g, np.float32(0.5))
+        land_grad(out, g, np.float32(0.5))
         np.testing.assert_array_equal(out, 0.5)
         with pytest.raises(ValueError):
-            kernels.land_grad(np.empty((4, 12), np.float32)[:, ::2], g,
+            land_grad(np.empty((4, 12), np.float32)[:, ::2], g,
                               np.float32(0.5))
 
 
@@ -240,11 +249,11 @@ class TestGradSumsq:
         for n in (1, 5, 1000, 70001):
             g = (rng.standard_normal(n) * 37).astype(np.float32)
             g64 = np.asarray(g, dtype=np.float64)
-            assert kernels.grad_sumsq(g) == float(np.dot(g64, g64))
+            assert grad_sumsq(g) == float(np.dot(g64, g64))
 
     def test_non_finite_iff_element_is(self):
-        assert np.isinf(kernels.grad_sumsq(np.array([1.0, np.inf],
+        assert np.isinf(grad_sumsq(np.array([1.0, np.inf],
                                                     np.float32)))
-        assert np.isnan(kernels.grad_sumsq(np.array([np.nan], np.float32)))
+        assert np.isnan(grad_sumsq(np.array([np.nan], np.float32)))
         top = np.full(10, 3.4028235e38, np.float32)
-        assert np.isfinite(kernels.grad_sumsq(top))
+        assert np.isfinite(grad_sumsq(top))

@@ -17,9 +17,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import reference
 from repro.exec import kernels, ops
+from repro.exec.plan import ChunkPlan
 from repro.exec.pool import KernelPool
 from repro.numeric import flash
-from repro.numeric.lowprec import round_fp16
+from repro.numeric.lowprec import land_grad, round_fp16
 from repro.optim import AdamConfig, GraceAdam
 from repro.optim.rollback import SnapshotRollback
 from repro.parallel.zero import ZeroShardedAdam
@@ -93,23 +94,25 @@ def test_every_op_bitwise_under_sampled_config(pool, prof, size, seed):
         ops.parallel_copy(dst, src, pool=pool)
     np.testing.assert_array_equal(dst, src)
 
-    # The rounding kernels have no tunable: serial (one tile) == tiled
-    # (ragged tiles) under any profile.
-    tile = max(1, size // 3)
+    # The rounding kernels have no tunable: one call == one call per
+    # chunk on the pool's threads, under any profile.
+    chunks = ChunkPlan.split(size, 3, 1)
     wide = src * np.float32(4e4)
-    serial16 = round_fp16(wide, tile=size)
+    serial16 = round_fp16(wide)
+    tiled16 = np.empty_like(wide)
     with runtime.overridden(prof):
-        tiled16 = round_fp16(wide, tile=tile)
+        pool.run(lambda lo, hi: round_fp16(wide[lo:hi], tiled16[lo:hi]),
+                 chunks)
     np.testing.assert_array_equal(tiled16, serial16)
 
     for accumulate in (False, True):
         serial_l = acc.copy()
-        kernels.land_grad(serial_l, wide, scale, accumulate=accumulate,
-                          tile=size)
+        land_grad(serial_l, wide, scale, accumulate=accumulate)
         tiled_l = acc.copy()
         with runtime.overridden(prof):
-            kernels.land_grad(tiled_l, wide, scale, accumulate=accumulate,
-                              tile=tile)
+            pool.run(lambda lo, hi: land_grad(
+                tiled_l[lo:hi], wide[lo:hi], scale, accumulate=accumulate),
+                chunks)
         np.testing.assert_array_equal(tiled_l, serial_l)
 
     sources = [rng.standard_normal(size).astype(np.float32)
